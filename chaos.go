@@ -41,12 +41,11 @@ type ChaosSweep struct {
 	SLOTarget time.Duration
 	// SLOBudget is the tolerated violation fraction (default 10%).
 	SLOBudget float64
-	// Scale, Seed, Intervals and IntraWorkers mirror the Run options and
-	// apply to the calibration run and every cell alike.
-	Scale        Scale
-	Seed         uint64
-	Intervals    time.Duration
-	IntraWorkers int
+	// Scale, Seed and Intervals mirror the Run options and apply to the
+	// calibration run and every cell alike.
+	Scale     Scale
+	Seed      uint64
+	Intervals time.Duration
 }
 
 // DefaultChaosLoadMultipliers brackets the knee with one point past it.
@@ -134,7 +133,7 @@ func procsPerCPU(w Workload, a Arrivals) int {
 // same capacity anchor and SLO target, so the surface is comparable
 // across both axes. Cells run concurrently (SetParallelism) yet the
 // result is deterministic: the same seed and config reproduce identical
-// surfaces, byte for byte, at any -jintra or worker count.
+// surfaces, byte for byte, at any worker count.
 func RunChaosSweep(sys SystemConfig, w Workload, cfg ChaosSweep) ChaosResult {
 	if cfg.Scale == (Scale{}) {
 		cfg.Scale = QuickScale
@@ -154,13 +153,12 @@ func RunChaosSweep(sys SystemConfig, w Workload, cfg ChaosSweep) ChaosResult {
 	intervals := sim.Time(cfg.Intervals.Nanoseconds()) * sim.Nanosecond
 
 	cal := RunBatch([]Experiment{{
-		Name:         name + "/calibrate",
-		Sys:          sys,
-		Work:         w,
-		WarmTx:       cfg.Scale.Warm,
-		MeasureTx:    cfg.Scale.Measure,
-		Seed:         cfg.Seed,
-		IntraWorkers: cfg.IntraWorkers,
+		Name:      name + "/calibrate",
+		Sys:       sys,
+		Work:      w,
+		WarmTx:    cfg.Scale.Warm,
+		MeasureTx: cfg.Scale.Measure,
+		Seed:      cfg.Seed,
 	}})[0]
 	capacity := 1e9 / cal.TimePerTx // ns/tx → tx/s
 
@@ -181,17 +179,16 @@ func RunChaosSweep(sys SystemConfig, w Workload, cfg ChaosSweep) ChaosResult {
 			wk.Arrivals = cfg.Arrivals
 			wk.Arrivals.Rate = lm * capacity
 			e := core.Experiment{
-				Name:         fmt.Sprintf("%s@%gx/f%gx", name, lm, fm),
-				Sys:          sys,
-				Work:         wk,
-				WarmTx:       cfg.Scale.Warm,
-				MeasureTx:    cfg.Scale.Measure,
-				Seed:         cfg.Seed,
-				Intervals:    intervals,
-				IntraWorkers: cfg.IntraWorkers,
-				SLOTarget:    slo,
-				SLOBudget:    cfg.SLOBudget,
-				Faults:       cfg.Plan.Scaled(fm),
+				Name:      fmt.Sprintf("%s@%gx/f%gx", name, lm, fm),
+				Sys:       sys,
+				Work:      wk,
+				WarmTx:    cfg.Scale.Warm,
+				MeasureTx: cfg.Scale.Measure,
+				Seed:      cfg.Seed,
+				Intervals: intervals,
+				SLOTarget: slo,
+				SLOBudget: cfg.SLOBudget,
+				Faults:    cfg.Plan.Scaled(fm),
 			}
 			// Private failover targets per cell: cells run concurrently
 			// and must not share mutable state.

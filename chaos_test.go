@@ -71,20 +71,3 @@ func TestChaosSweepDeterministic(t *testing.T) {
 		t.Fatal("chaos sweep rerun diverged")
 	}
 }
-
-// TestChaosSweepIntraParallelIdentity crosses the campaign with -jintra:
-// the surface must be byte-identical at any intra-run worker count.
-func TestChaosSweepIntraParallelIdentity(t *testing.T) {
-	run := func(workers int) string {
-		cfg := chaosCfg()
-		cfg.IntraWorkers = workers
-		b, err := json.Marshal(RunChaosSweep(MultiChip(2, 2), OLTP(), cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	if serial, par := run(1), run(4); serial != par {
-		t.Fatal("chaos sweep diverged between jintra 1 and 4")
-	}
-}

@@ -1,16 +1,11 @@
 // Command piranha-bench measures the simulator's host-side performance
-// and emits a versioned JSON report (BENCH_10.json) so the repository
+// and emits a versioned JSON report (BENCH_12.json) so the repository
 // carries a committed benchmark trajectory. Five families of benchmarks
 // run:
 //
 //   - End-to-end: full OLTP and DSS experiments at P1 and P8, reporting
 //     host ns per simulated transaction — the number that tells you how
-//     long a paper-scale figure run costs on this machine. The P8 rows
-//     repeat under two-phase intra-run parallelism (-jintra 2, 4, and
-//     GOMAXPROCS phase workers) with a speedup column against the
-//     serial engine; the harness fails if a parallel row's simulated
-//     Result differs from the serial row's by even one counter. A P1
-//     jintra row pins the automatic serial fallback.
+//     long a paper-scale figure run costs on this machine.
 //   - Micro: the three memory-system hot paths the dense-state refactor
 //     targets (L2 line lookup, protocol-engine directory dispatch, noc
 //     hop delivery). These must be allocation-free in steady state; the
@@ -23,14 +18,13 @@
 //     reporting MTTR and pre-fault vs post-recovery throughput from the
 //     per-interval completion bins. The harness fails if the degraded
 //     machine's post-recovery rate falls below half the pre-fault rate,
-//     or if the run's JSON diverges between -jintra 1 and 4.
+//     or if the run's JSON diverges across a same-seed rerun.
 //   - Scaling: OLTP on the glueless 2-D torus at 8 through 1024 nodes
 //     (quick: through 64) with a fixed per-node transaction budget, so
 //     host ns per simulated transaction is the per-node simulation
 //     rate. The harness fails if the 1024-node rate exceeds 10x the
 //     64-node rate (the sparse-activation O(active) contract), or if
-//     the anchor row's simulated JSON diverges across a rerun or
-//     between -jintra 1 and 4.
+//     the anchor row's simulated JSON diverges across a rerun.
 //
 // With -baseline, the micro rows are compared against a previously
 // committed report and the run fails on a >10% allocs/op regression
@@ -65,7 +59,7 @@ import (
 // trajectory index (BENCH_<benchVersion>.json).
 const (
 	schemaVersion = 1
-	benchVersion  = 10
+	benchVersion  = 12
 )
 
 // Result is one benchmark row.
@@ -79,15 +73,9 @@ type Result struct {
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	// NsPerSimTx is host time per simulated transaction (end-to-end only).
 	NsPerSimTx float64 `json:"ns_per_sim_tx,omitempty"`
-	// IntraWorkers is the phase-worker count for jintra end-to-end rows
-	// (0 = serial engine).
-	IntraWorkers int `json:"intra_workers,omitempty"`
-	// SpeedupVsSerial is NsPerSimTx(serial) / NsPerSimTx(this row), set
-	// only on jintra rows.
-	SpeedupVsSerial float64 `json:"speedup_vs_serial,omitempty"`
 }
 
-// Report is the whole BENCH_10.json document.
+// Report is the whole BENCH_<benchVersion>.json document.
 type Report struct {
 	SchemaVersion int    `json:"schema_version"`
 	BenchVersion  int    `json:"bench_version"`
@@ -95,11 +83,9 @@ type Report struct {
 	GoVersion     string `json:"go_version"`
 	GoOS          string `json:"go_os"`
 	GoArch        string `json:"go_arch"`
-	// NumCPU is the host's logical CPU count: the ceiling on any jintra
-	// row's speedup. On a single-CPU host the jintra rows record the
-	// two-phase machinery's overhead, not a speedup.
+	// NumCPU is the host's logical CPU count (part of the host
+	// fingerprint; every timed row runs one simulation at a time).
 	NumCPU int      `json:"num_cpu"`
-	Notes  string   `json:"notes,omitempty"`
 	Suite  []Result `json:"suite"`
 	// Sweeps holds the open-loop load-sweep curves (simulated numbers,
 	// deterministic for a given seed — unlike the host-time Suite rows).
@@ -199,8 +185,8 @@ func loadSweep(name string, kind core.WorkloadKind, cpus int, seed uint64, warmT
 
 // failStopBench runs the chaos row: a two-chip open-loop OLTP machine
 // offered 0.35x its calibrated capacity loses node 1 mid-measurement.
-// The run repeats under -jintra 4 and the harness fails unless the two
-// JSON-serialized Results are byte-identical, the recovery event is
+// The run repeats with the same seed and the harness fails unless the
+// two JSON-serialized Results are byte-identical, the recovery event is
 // well-formed, and the post-recovery completion rate stays within 2x of
 // the pre-fault rate (the surviving half-machine has the headroom, and
 // the blackout backlog drains at full degraded capacity).
@@ -225,9 +211,8 @@ func failStopBench(seed uint64) *ChaosSummary {
 			FailStop: []fault.NodeFailure{{Node: 1, At: 200 * sim.Microsecond}},
 		},
 	}
-	run := func(workers int) (core.Result, []byte) {
+	run := func() (core.Result, []byte) {
 		e := exp
-		e.IntraWorkers = workers
 		// Private failover target per run: never share mutable state.
 		e.FaultAdopt = ras.NewFailover(0).Takeover
 		res := core.Run(e)
@@ -237,10 +222,10 @@ func failStopBench(seed uint64) *ChaosSummary {
 		}
 		return res, b
 	}
-	r, b1 := run(1)
-	_, b4 := run(4)
-	if !bytes.Equal(b1, b4) {
-		fatalf("chaos row: JSON diverged between -jintra 1 and 4")
+	r, b1 := run()
+	_, b2 := run()
+	if !bytes.Equal(b1, b2) {
+		fatalf("chaos row: JSON diverged across a same-seed rerun")
 	}
 	if r.Recovery == nil || len(r.Recovery.Events) != 1 {
 		fatalf("chaos row: no fail-stop recovery event recorded")
@@ -294,8 +279,8 @@ func failStopBench(seed uint64) *ChaosSummary {
 // scalingBench runs the N-node scaling suite: OLTP on ScaleOut torus
 // machines with piranha.DefaultPerNodeScale transactions per node. The
 // anchor row (64 nodes, or the quick list's midpoint) additionally
-// reruns serially and under -jintra 4; the harness fails unless all
-// three simulated Results serialize identically. After the sweep the
+// reruns with the same seed; the harness fails unless both simulated
+// Results serialize identically. After the sweep the
 // per-node rate gate runs: at 1024 nodes, host ns per simulated
 // transaction must stay within 10x of the 64-node row.
 func scalingBench(seed uint64, quick bool) []ScalingRow {
@@ -306,15 +291,14 @@ func scalingBench(seed uint64, quick bool) []ScalingRow {
 		anchor = 32
 	}
 	per := piranha.DefaultPerNodeScale
-	run := func(n, workers int) (core.Result, float64) {
+	run := func(n int) (core.Result, float64) {
 		exp := core.Experiment{
-			Name:         fmt.Sprintf("scaling/oltp/%dn", n),
-			Sys:          piranha.ScaleOut(n, 1),
-			Work:         core.WorkloadSpec{Kind: core.OLTP},
-			WarmTx:       per.Warm * uint64(n),
-			MeasureTx:    per.Measure * uint64(n),
-			Seed:         seed,
-			IntraWorkers: workers,
+			Name:      fmt.Sprintf("scaling/oltp/%dn", n),
+			Sys:       piranha.ScaleOut(n, 1),
+			Work:      core.WorkloadSpec{Kind: core.OLTP},
+			WarmTx:    per.Warm * uint64(n),
+			MeasureTx: per.Measure * uint64(n),
+			Seed:      seed,
 		}
 		//piranha:allow determinism host benchmark harness measures wall-clock by design
 		t0 := time.Now()
@@ -329,21 +313,16 @@ func scalingBench(seed uint64, quick bool) []ScalingRow {
 	rows := make([]ScalingRow, 0, len(nodes))
 	rates := map[int]float64{}
 	for _, n := range nodes {
-		res, nsPerTx := run(n, 0)
+		res, nsPerTx := run(n)
 		if n == anchor {
 			b1, err := json.Marshal(res)
 			if err != nil {
 				fatalf("scaling row: marshal: %v", err)
 			}
-			rerun, _ := run(n, 0)
+			rerun, _ := run(n)
 			b2, _ := json.Marshal(rerun)
-			j4, _ := run(n, 4)
-			b3, _ := json.Marshal(j4)
 			if !bytes.Equal(b1, b2) {
 				fatalf("scaling row %dn: JSON diverged across reruns", n)
-			}
-			if !bytes.Equal(b1, b3) {
-				fatalf("scaling row %dn: JSON diverged between -jintra 1 and 4", n)
 			}
 		}
 		rows = append(rows, ScalingRow{
@@ -392,28 +371,23 @@ func measure(name, kind string, warm, iters, ops int, fn func()) Result {
 }
 
 // endToEnd runs one full experiment per iteration and reports host ns
-// per simulated transaction plus the (deterministic) simulated Result,
-// so jintra rows can be checked bit-identical against their serial row.
-func endToEnd(name string, kind core.WorkloadKind, cpus, intraWorkers int, seed, warmTx, measureTx uint64, iters int) (Result, core.Result) {
+// per simulated transaction.
+func endToEnd(name string, kind core.WorkloadKind, cpus int, seed, warmTx, measureTx uint64, iters int) Result {
 	exp := core.Experiment{
-		Name:         name,
-		Sys:          core.SystemConfig{Chips: 1, Chip: core.PiranhaChip(cpus)},
-		Work:         core.WorkloadSpec{Kind: kind},
-		WarmTx:       warmTx,
-		MeasureTx:    measureTx,
-		Seed:         seed,
-		IntraWorkers: intraWorkers,
+		Name:      name,
+		Sys:       core.SystemConfig{Chips: 1, Chip: core.PiranhaChip(cpus)},
+		Work:      core.WorkloadSpec{Kind: kind},
+		WarmTx:    warmTx,
+		MeasureTx: measureTx,
+		Seed:      seed,
 	}
-	var last core.Result
 	r := measure(name, "end-to-end", 1, iters, 1, func() {
-		last = core.Run(exp)
-		if last.Tx != measureTx {
-			fatalf("%s: measured %d transactions, want %d", name, last.Tx, measureTx)
+		if res := core.Run(exp); res.Tx != measureTx {
+			fatalf("%s: measured %d transactions, want %d", name, res.Tx, measureTx)
 		}
 	})
 	r.NsPerSimTx = r.NsPerOp / float64(measureTx)
-	r.IntraWorkers = intraWorkers
-	return r, last
+	return r
 }
 
 // fakeMem is the fixed-latency memory stub behind the L2 micro rig.
@@ -515,7 +489,7 @@ func fatalf(format string, args ...any) {
 
 func main() {
 	quick := flag.Bool("quick", false, "smaller transaction counts and iteration budgets (CI smoke)")
-	out := flag.String("o", "BENCH_10.json", "output report path")
+	out := flag.String("o", fmt.Sprintf("BENCH_%d.json", benchVersion), "output report path")
 	baseline := flag.String("baseline", "", "compare micro allocs/op against this committed report (fail on >10% regression)")
 	seed := flag.Uint64("seed", 0, "workload seed for the end-to-end and sweep rows (0 = default)")
 	flag.Parse()
@@ -536,54 +510,19 @@ func main() {
 		GoArch:        runtime.GOARCH,
 		NumCPU:        runtime.NumCPU(),
 	}
-	if rep.NumCPU < 2 {
-		rep.Notes = "single-CPU host: jintra rows verify byte-identity and record the two-phase machinery's overhead; speedup requires NumCPU >= phase workers"
-	}
 	add := func(r Result) {
 		rep.Suite = append(rep.Suite, r)
 		extra := ""
 		if r.NsPerSimTx > 0 {
 			extra = fmt.Sprintf("  %12.0f ns/sim-tx", r.NsPerSimTx)
 		}
-		if r.SpeedupVsSerial > 0 {
-			extra += fmt.Sprintf("  %5.2fx vs serial", r.SpeedupVsSerial)
-		}
 		fmt.Printf("%-22s %12.1f ns/op %10.3f allocs/op %12.1f B/op%s\n",
 			r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp, extra)
 	}
-	// jintra repeats a serial end-to-end row under two-phase parallel
-	// execution, records the speedup, and fails loudly if the simulated
-	// Result moved by even one counter — the byte-identity contract,
-	// enforced on every bench run rather than only in the test suite.
-	jintra := func(serial Result, serialRes core.Result, kind core.WorkloadKind, cpus, workers int, tag string) {
-		name := serial.Name + "/jintra" + tag
-		r, res := endToEnd(name, kind, cpus, workers, *seed, warmTx, measureTx, e2eIters)
-		res.Name = serialRes.Name // rows differ by name alone; counters may not
-		if res != serialRes {
-			fatalf("%s: simulated result diverged from serial row %s", name, serial.Name)
-		}
-		r.SpeedupVsSerial = serial.NsPerSimTx / r.NsPerSimTx
-		add(r)
-	}
-
-	oltp1, oltp1Res := endToEnd("oltp/p1", core.OLTP, 1, 0, *seed, warmTx, measureTx, e2eIters)
-	add(oltp1)
-	oltp8, oltp8Res := endToEnd("oltp/p8", core.OLTP, 8, 0, *seed, warmTx, measureTx, e2eIters)
-	add(oltp8)
-	dss1, _ := endToEnd("dss/p1", core.DSS, 1, 0, *seed, warmTx, measureTx, e2eIters)
-	add(dss1)
-	dss8, dss8Res := endToEnd("dss/p8", core.DSS, 8, 0, *seed, warmTx, measureTx, e2eIters)
-	add(dss8)
-
-	// P8 rows at 2, 4, and GOMAXPROCS phase workers (tagged "max" so the
-	// report's row-name set is stable across machines), plus one P1 row
-	// pinning the automatic serial fallback.
-	jintra(oltp8, oltp8Res, core.OLTP, 8, 2, "2")
-	jintra(oltp8, oltp8Res, core.OLTP, 8, 4, "4")
-	jintra(oltp8, oltp8Res, core.OLTP, 8, runtime.GOMAXPROCS(0), "max")
-	jintra(dss8, dss8Res, core.DSS, 8, 2, "2")
-	jintra(dss8, dss8Res, core.DSS, 8, 4, "4")
-	jintra(oltp1, oltp1Res, core.OLTP, 1, 4, "4")
+	add(endToEnd("oltp/p1", core.OLTP, 1, *seed, warmTx, measureTx, e2eIters))
+	add(endToEnd("oltp/p8", core.OLTP, 8, *seed, warmTx, measureTx, e2eIters))
+	add(endToEnd("dss/p1", core.DSS, 1, *seed, warmTx, measureTx, e2eIters))
+	add(endToEnd("dss/p8", core.DSS, 8, *seed, warmTx, measureTx, e2eIters))
 
 	add(l2LookupBench(microIters))
 	add(peDirDispatchBench(microIters))
@@ -613,7 +552,7 @@ func main() {
 	}
 
 	// The chaos row: fail-stop recovery, degraded-mode throughput, and
-	// the jintra byte-identity of the whole fault pipeline.
+	// the rerun byte-identity of the whole fault pipeline.
 	ch := failStopBench(*seed)
 	rep.Chaos = ch
 	fmt.Printf("%-22s mttr %8.0f ns  pre %8.0f tx/s  post %8.0f tx/s  ratio %.2f  sloviol %.3f\n",

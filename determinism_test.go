@@ -1,8 +1,6 @@
 package piranha
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -61,74 +59,6 @@ func TestRunBatchMatchesSerial(t *testing.T) {
 				t.Fatalf("workers=%d: result %d (%s) differs from serial run:\n got %+v\nwant %+v",
 					workers, i, exps[i].Name, got[i], want[i])
 			}
-		}
-	}
-}
-
-// runTraced executes one run capturing both the versioned Result JSON
-// and the Chrome trace bytes — the two artifacts the intra-parallel
-// engine must reproduce byte-for-byte.
-func runTraced(t *testing.T, sys SystemConfig, w Workload, seed uint64, workers int) ([]byte, []byte) {
-	t.Helper()
-	var tr bytes.Buffer
-	res := Run(sys, w, WithSeed(seed), WithScale(tiny), WithTrace(&tr), WithIntraParallel(workers))
-	js, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return js, tr.Bytes()
-}
-
-// TestIntraParallelByteIdentity is the tentpole contract of two-phase
-// partitioned execution: for every machine shape, workload, seed, and
-// phase-worker count, the Result JSON and the captured Perfetto trace
-// are byte-identical to the serial engine's. The timing model partition
-// replays the exact serial event history; the workers only move op
-// generation off it.
-func TestIntraParallelByteIdentity(t *testing.T) {
-	cases := []struct {
-		name string
-		sys  SystemConfig
-		work Workload
-	}{
-		{"p8-oltp", P8(), OLTP()},
-		{"p2-dss", P2(), DSS()},
-		{"p1-oltp-fallback", P1(), OLTP()}, // P1-sized: must fall back to serial
-		{"2xp2-oltp", MultiChip(2, 2), OLTP()},
-	}
-	for _, c := range cases {
-		for _, seed := range []uint64{3, 77} {
-			wantJS, wantTr := runTraced(t, c.sys, c.work, seed, 1)
-			for _, workers := range []int{2, 4} {
-				gotJS, gotTr := runTraced(t, c.sys, c.work, seed, workers)
-				if !bytes.Equal(wantJS, gotJS) {
-					t.Errorf("%s seed=%d workers=%d: Result JSON diverges from serial\n got %s\nwant %s",
-						c.name, seed, workers, gotJS, wantJS)
-				}
-				if !bytes.Equal(wantTr, gotTr) {
-					t.Errorf("%s seed=%d workers=%d: trace bytes diverge from serial (%d vs %d bytes)",
-						c.name, seed, workers, len(gotTr), len(wantTr))
-				}
-			}
-		}
-	}
-}
-
-// TestFigureHarnessIntraParallelIdentical pins the figures pipeline: a
-// sweep regenerated under SetIntraParallel(4) renders the same text and
-// metrics as the serial harness — the property the CI jintra job cmp's
-// at the whole-file level.
-func TestFigureHarnessIntraParallelIdentical(t *testing.T) {
-	serial := Fig6(tiny)
-	SetIntraParallel(4)
-	defer SetIntraParallel(1)
-	par := Fig6(tiny)
-	if serial.Text != par.Text {
-		t.Fatalf("rendered text differs under intra-parallel execution:\n%s\n---\n%s", serial.Text, par.Text)
-	}
-	for k, v := range serial.Metrics {
-		if pv, ok := par.Metrics[k]; !ok || pv != v {
-			t.Fatalf("metric %q differs: serial %v, intra-parallel %v", k, v, pv)
 		}
 	}
 }

@@ -3,7 +3,7 @@
 // node death mid-measurement — then a full composed campaign (load
 // multipliers × fault-rate grid) printing the degradation surface an
 // operator would capacity-plan from. Everything is seeded: rerunning
-// reproduces identical output, byte for byte, at any -jintra.
+// reproduces identical output, byte for byte.
 package main
 
 import (

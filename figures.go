@@ -70,25 +70,6 @@ func SetParallelism(n int) {
 	parallelism = n
 }
 
-// intraWorkers is the harness-wide default for intra-run parallelism
-// (see WithIntraParallel); experiments that set their own IntraWorkers
-// keep it.
-var intraWorkers int
-
-// SetIntraParallel makes every subsequent harness run execute on n phase
-// workers via two-phase partitioned event execution (n <= 1 restores the
-// serial engine). Output is byte-identical at any setting; this composes
-// with SetParallelism, which fans whole experiments across the batch
-// pool.
-func SetIntraParallel(n int) {
-	if n < 1 {
-		n = 1
-	}
-	harnessMu.Lock()
-	intraWorkers = n
-	harnessMu.Unlock()
-}
-
 // Harness-wide tracing and interval settings. The figure functions
 // build their own experiment lists; these settings let cmd/figures turn
 // on interval sampling or trace capture for every run in a sweep
@@ -151,7 +132,7 @@ func WriteCapturedTraces(w io.Writer) error {
 // without losing sibling runs mid-flight.
 func runBatch(exps []core.Experiment) []Result {
 	harnessMu.Lock()
-	iv, capture, capN, jintra, seed := harnessInterval, captureTraces, captureCap, intraWorkers, harnessSeed
+	iv, capture, capN, seed := harnessInterval, captureTraces, captureCap, harnessSeed
 	harnessMu.Unlock()
 	for i := range exps {
 		if iv > 0 && exps[i].Intervals == 0 {
@@ -159,9 +140,6 @@ func runBatch(exps []core.Experiment) []Result {
 		}
 		if capture && exps[i].Trace == nil {
 			exps[i].Trace = trace.New(capN)
-		}
-		if exps[i].IntraWorkers == 0 {
-			exps[i].IntraWorkers = jintra
 		}
 		if seed != 0 && exps[i].Seed == 0 {
 			exps[i].Seed = seed

@@ -71,14 +71,6 @@ type Experiment struct {
 	// Takeover — same hook pattern as FaultEscalate, since neither core
 	// nor fault can import ras).
 	FaultAdopt func(n int)
-	// IntraWorkers enables two-phase parallel execution *within* this
-	// run on that many phase workers (<= 1 is the serial engine). The
-	// run's output is byte-identical either way: the timing model stays
-	// a single partition whose event history never changes, while
-	// workload op generation and process construction move onto the
-	// workers. Runs on P1-sized machines or with zero lookahead fall
-	// back to serial automatically.
-	IntraWorkers int
 	// SLOTarget, when positive on an open-loop run, attaches a per-window
 	// SLO accountant to the admission queue: completions slower than the
 	// target (and final sheds) are violations, bucketed into windows of
@@ -223,8 +215,8 @@ func Run(e Experiment) Result {
 
 	// Tenant pools: closed-loop runs have exactly one (the experiment's
 	// own kind); an open-loop mix hosts one server-process pool per
-	// tenant. The pool table is what makes newStream a pure function of
-	// the global process id — the jintra byte-identity contract.
+	// tenant. The pool table maps a global process id to its tenant and
+	// tenant-local stream.
 	arrivalsOn := e.Work.Arrivals.Enabled()
 	if arrivalsOn {
 		if err := e.Work.Arrivals.Validate(); err != nil {
@@ -245,18 +237,11 @@ func Run(e Experiment) Result {
 		pools[t] = tenantPool{perCPU: perCPU, base: procsPerCPU, stream: stream}
 		procsPerCPU += perCPU
 	}
-	newStream := func(id int) kernel.Stream {
-		t, local := locateProc(pools, procsPerCPU, id)
-		return pools[t].stream(local)
-	}
 
 	// Open-loop wiring: the admission queue, and the arrival driver's
 	// dedicated RNG stream — split *before* the process seeds are drawn,
 	// and only on open-loop runs, so closed-loop runs consume rng exactly
 	// as before.
-	spawn := func(c, id int, s kernel.Stream, procSeed uint64) {
-		sys.Kern.Spawn(c, s, procSeed)
-	}
 	var adm *kernel.Admission
 	if arrivalsOn {
 		adm = kernel.NewAdmission(len(pools), e.Work.Arrivals.Capacity)
@@ -272,33 +257,19 @@ func Run(e Experiment) Result {
 		}
 		gen := workload.NewArrivalGen(e.Work.Arrivals, rng.Split(0x41525256)) // "ARRV"
 		startArrivals(sys.Engine, sys.Kern, gen)
-		spawn = func(c, id int, s kernel.Stream, procSeed uint64) {
-			t, _ := locateProc(pools, procsPerCPU, id)
-			sys.Kern.SpawnOpen(c, s, procSeed, t)
-		}
 	}
 
-	// Intra-run parallelism: two-phase partitioned execution moves
-	// process construction and op generation onto phase workers while the
-	// timing model keeps its exact serial event history. P1-sized
-	// machines and zero-lookahead systems fall back to the serial engine.
-	runTx := sys.Kern.RunTx
-	if w := e.IntraWorkers; w > 1 && ncpu >= 2 && sys.Lookahead() > 0 {
-		par := newIntraRun(sys, w, procsPerCPU, newStream, spawn, rng)
-		defer par.Close()
-		if wd != nil {
-			wd.SetDiagnostic(func() string {
-				return par.Diagnostic() + "; " + inj.Diagnostic()
-			})
-		}
-		runTx = par.RunTx
-	} else {
-		id := 0
-		for c := 0; c < ncpu; c++ {
-			for p := 0; p < procsPerCPU; p++ {
-				spawn(c, id, newStream(id), rng.Uint64())
-				id++
+	id := 0
+	for c := 0; c < ncpu; c++ {
+		for p := 0; p < procsPerCPU; p++ {
+			t, local := locateProc(pools, procsPerCPU, id)
+			s, procSeed := pools[t].stream(local), rng.Uint64()
+			if adm != nil {
+				sys.Kern.SpawnOpen(c, s, procSeed, t)
+			} else {
+				sys.Kern.Spawn(c, s, procSeed)
 			}
+			id++
 		}
 	}
 
@@ -306,7 +277,7 @@ func Run(e Experiment) Result {
 	// counters and measure (the paper: "500 transactions after a
 	// warm-up period").
 	if e.WarmTx > 0 {
-		runTx(e.WarmTx)
+		sys.Kern.RunTx(e.WarmTx)
 	}
 	sys.ResetStats()
 	// The trace and series cover exactly the measured phase; Reset
@@ -326,7 +297,7 @@ func Run(e Experiment) Result {
 	if inj != nil && len(inj.Plan().FailStop) > 0 {
 		scheduleFailStops(sys, inj, ncpu, e.Trace, wd)
 	}
-	elapsed := runTx(e.WarmTx + e.MeasureTx)
+	elapsed := sys.Kern.RunTx(e.WarmTx + e.MeasureTx)
 	if inj != nil && sys.Kern.Tx < e.WarmTx+e.MeasureTx {
 		// RunTx returned with the queue drained short of the target: the
 		// fault campaign wedged the machine in a way even the recovery

@@ -9,10 +9,8 @@ import (
 // Open-loop plumbing: tenant process pools and the arrival driver.
 //
 // A run's server processes are addressed by a single global id — the
-// order Spawn/SpawnOpen is called — and everything about a process must
-// be a pure function of that id (the jintra contract: phase workers
-// construct processes concurrently and pre-generate their op streams).
-// With multiple tenants the id space is laid out CPU-major: CPU c owns
+// order Spawn/SpawnOpen is called — and a process's tenant, partition
+// and op stream are a pure function of that id. With multiple tenants the id space is laid out CPU-major: CPU c owns
 // ids [c·P, (c+1)·P) where P is the per-CPU total, and within a CPU each
 // tenant owns a fixed band of width perCPU in mix order. A process never
 // runs another tenant's transactions, so its op stream stays pure.
@@ -76,11 +74,10 @@ func buildWorkload(kind WorkloadKind, spec WorkloadSpec, lay workload.Layout, nc
 
 // startArrivals installs the arrival driver: a self-rescheduling chain
 // of engine events, one per arrival, always exactly one in flight. The
-// chain lives in the timing-model partition (it reads only the
-// generator's dedicated split RNG), so its event history — and therefore
-// every admission decision — is bit-identical between the serial engine
-// and any -jintra worker count. The chain never ends; RunTx's target
-// condition is what stops the run.
+// chain reads only the generator's dedicated split RNG, so the arrival
+// times are independent of the load they meet and every admission
+// decision reproduces exactly under the same seed. The chain never ends;
+// RunTx's target condition is what stops the run.
 func startArrivals(eng *sim.Engine, k *kernel.Kernel, gen *workload.ArrivalGen) {
 	var schedule func()
 	schedule = func() {

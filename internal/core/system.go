@@ -7,7 +7,6 @@ import (
 	"piranha/internal/fault"
 	"piranha/internal/kernel"
 	"piranha/internal/l2"
-	"piranha/internal/link"
 	"piranha/internal/noc"
 	"piranha/internal/pe"
 	"piranha/internal/sim"
@@ -164,32 +163,6 @@ func (s *System) AttachFaults(inj *fault.Injector) {
 
 // TotalCPUs returns the machine's CPU count.
 func (s *System) TotalCPUs() int { return len(s.Cores) }
-
-// Lookahead returns the machine's conservative lookahead: the minimum
-// static latency any cross-component effect pays — the fastest ICS
-// transfer on any chip, and for multi-chip machines also the fastest
-// link-layer frame and router hop on the interconnect clock. An
-// intra-run parallel execution may run partitions this far apart in
-// simulated time without risking a causality violation. Zero (no chips)
-// disables intra-run parallelism.
-func (s *System) Lookahead() sim.Time {
-	var la sim.Time
-	for _, chip := range s.Chips {
-		if m := chip.SW.MinLatency(); la == 0 || m < la {
-			la = m
-		}
-	}
-	if s.Fabric != nil {
-		ic := sim.MHz(500)
-		if m := link.MinLatency(ic); m < la {
-			la = m
-		}
-		if m := noc.MinHopLatency(ic); m < la {
-			la = m
-		}
-	}
-	return la
-}
 
 // ResetStats clears all measurement counters (after warmup).
 func (s *System) ResetStats() {

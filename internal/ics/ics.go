@@ -47,14 +47,6 @@ func DefaultConfig(clock sim.Clock) Config {
 	return Config{Datapaths: 8, Clock: clock, HintCycles: 1}
 }
 
-// MinLatency is the static lower bound on any transfer through the
-// switch: one 64-bit word moved back-to-back under an early destination
-// hint occupies a datapath for exactly one cycle. The parallel engine's
-// conservative lookahead is the minimum of this bound across the
-// machine's component interconnects — no intra-chip effect can cross the
-// switch faster.
-func (c Config) MinLatency() sim.Time { return c.Clock.Cycles(1) }
-
 // Switch is the intra-chip switch. Transfers acquire a datapath for
 // size/8 cycles (one 64-bit word per cycle, back-to-back, no dead cycles).
 type Switch struct {
@@ -97,9 +89,6 @@ func (s *Switch) Transfer(now sim.Time, lane Lane, size int, hinted bool) sim.Ti
 	s.tr.Span(trace.NOC, trace.KICS, s.node, int16(lane), 0, now, done, uint32(size))
 	return done
 }
-
-// MinLatency re-exports the configured lower bound (see Config.MinLatency).
-func (s *Switch) MinLatency() sim.Time { return s.cfg.MinLatency() }
 
 // PeakBandwidth returns the switch's aggregate bandwidth in bytes/sec.
 func (s *Switch) PeakBandwidth() int64 {

@@ -265,17 +265,6 @@ func (k *Kernel) RunTx(target uint64) sim.Time {
 	return k.eng.Now() - start
 }
 
-// RunTxDriven is RunTx with the event loop supplied by the caller — the
-// intra-parallel epoch scheduler passes its RunWhile here. The condition
-// handed to drive reads only kernel state, which lives entirely in the
-// timing-model partition, so drive evaluates it with exactly RunTx's
-// between-events cadence and the stopping point is bit-identical.
-func (k *Kernel) RunTxDriven(target uint64, drive func(cond func() bool)) sim.Time {
-	start := k.eng.Now()
-	drive(func() bool { return k.Tx < target })
-	return k.eng.Now() - start
-}
-
 // Cores exposes the kernel's cores (stat collection).
 func (k *Kernel) Cores() []*cpu.Core { return k.cores }
 

@@ -161,9 +161,3 @@ func TransferTime(n int, icClock sim.Clock) sim.Time {
 	cycles := (words + WordsPerInterconnectCycle - 1) / WordsPerInterconnectCycle
 	return icClock.Cycles(int64(cycles))
 }
-
-// MinLatency is the static lower bound on moving anything across one
-// channel direction: a single interconnect cycle (the smallest frame).
-// It feeds the parallel engine's conservative lookahead — no inter-chip
-// effect can cross a link faster than this.
-func MinLatency(icClock sim.Clock) sim.Time { return TransferTime(1, icClock) }

@@ -8,13 +8,12 @@ import "piranha/internal/protocol"
 // (internal/protocol) names each protocol's dispatch files and enum
 // pair, so registering a rival protocol automatically puts its dispatch
 // under the same §3.5 completeness gate. Goroutine fan-out is confined
-// to the allowlist — the experiment runner plus the parallel engine's
-// phase-worker pool in internal/sim — and even inside the allowlist,
-// goroutines may not call Schedule/After directly; the determinism
-// analyzer holds them to the staging API.
+// to the experiment runner, which runs whole experiments concurrently,
+// and even there goroutines may not call Schedule/After directly: every
+// event engine is single-threaded.
 func DefaultAnalyzers() []Analyzer {
 	out := []Analyzer{
-		Determinism("internal/runner", "internal/sim"),
+		Determinism("internal/runner"),
 		Hotpath(),
 	}
 	for _, s := range protocol.Registered() {

@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// Determinism returns the analyzer enforcing serial-vs-parallel byte
-// equality. It flags:
+// Determinism returns the analyzer enforcing same-seed byte equality
+// across reruns and runner worker counts. It flags:
 //
 //   - calls to time.Now / time.Since (host wall-clock leaking into a
 //     simulation measured in sim.Time picoseconds);
@@ -21,14 +21,12 @@ import (
 //     collect-then-sort idiom, e.g. sortutil.Keys);
 //   - goroutine launches outside the packages in allowGoroutines
 //     (module-relative directories; worker fan-out belongs to the
-//     experiment runner and the sim phase-worker pool, nowhere else);
+//     experiment runner, nowhere else);
 //   - sim.Engine scheduling calls (Schedule/After) lexically inside a
-//     launched goroutine: an engine is partition-private, so
-//     cross-partition event scheduling must go through the two-phase
-//     staging API (Partition.Stage), which commits sends in a fixed
-//     (time, source, order) merge — a direct call from a goroutine
-//     races the heap and breaks byte-identity even in allowlisted
-//     packages;
+//     launched goroutine: an engine is single-threaded and owned by the
+//     one experiment that runs it, so a direct call from another
+//     goroutine races the heap and breaks byte-identity even in
+//     allowlisted packages;
 //   - any math/rand use at all inside a fault-injection package
 //     (internal/fault): fault schedules must replay bit-identically
 //     across reruns and parallel workers, so their randomness must flow
@@ -55,7 +53,7 @@ func Determinism(allowGoroutines ...string) Analyzer {
 					case *ast.GoStmt:
 						if !d.goroutineOK {
 							d.out = append(d.out, m.diag("determinism", n.Pos(),
-								"goroutine launched outside the fan-out allowlist: workers belong to the experiment runner (internal/runner) or the sim phase-worker pool (internal/sim)"))
+								"goroutine launched outside the fan-out allowlist: workers belong to the experiment runner (internal/runner), which runs whole experiments concurrently"))
 						}
 						d.checkGoroutineScheduling(n)
 					case *ast.FuncDecl:
@@ -124,16 +122,16 @@ func (d *detPass) checkBannedFunc(sel *ast.SelectorExpr) {
 
 // checkGoroutineScheduling flags Schedule/After calls lexically inside a
 // launched goroutine — the direct call (go eng.Schedule(...)) and any
-// call within the goroutine's function literal. Event queues are
-// partition-private; the only legal cross-goroutine path into one is the
-// staging API, whose commit phase merges sends deterministically. This
-// rule holds even in packages allowed to launch goroutines: the phase
-// workers themselves must stage, not schedule.
+// call within the goroutine's function literal. An event queue belongs
+// to the single goroutine running its experiment; no other goroutine
+// may push onto it. This rule holds even in packages allowed to launch
+// goroutines: a runner worker starts an experiment, it never schedules
+// into one.
 func (d *detPass) checkGoroutineScheduling(g *ast.GoStmt) {
 	flag := func(call *ast.CallExpr) {
 		if name := calleeName(call); scheduleNames[name] {
 			d.out = append(d.out, d.m.diag("determinism", call.Pos(),
-				"%s called from a goroutine: cross-partition event scheduling must go through the staging API (Partition.Stage) and commit between phases", name))
+				"%s called from a goroutine: an event engine is single-threaded and belongs to the experiment that runs it; never schedule onto it from a launched goroutine", name))
 		}
 	}
 	flag(g.Call)

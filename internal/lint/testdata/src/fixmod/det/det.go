@@ -73,9 +73,9 @@ func Fork(done chan struct{}) {
 	go func() { close(done) }()
 }
 
-// ForkSchedule schedules from inside a launched goroutine — bypassing
-// the staging API: two findings (the goroutine itself plus the
-// scheduling call), and the direct-call form is one more pair.
+// ForkSchedule schedules from inside a launched goroutine — onto an
+// engine another goroutine owns: two findings (the goroutine itself plus
+// the scheduling call), and the direct-call form is one more pair.
 func ForkSchedule(e *Engine, at int64) {
 	go func() {
 		e.Schedule(at, nil)

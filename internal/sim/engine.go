@@ -197,28 +197,6 @@ func (e *Engine) RunWhile(cond func() bool) {
 	}
 }
 
-// NextEventAt returns the timestamp of the earliest live event, if any.
-// It prunes cancelled events lazily, exactly as Step would.
-func (e *Engine) NextEventAt() (Time, bool) { return e.peek() }
-
-// RunUntilWhile executes events with timestamps <= deadline while cond()
-// holds, leaving later events queued. Unlike RunUntil it never advances
-// the clock to the deadline: the clock stays at the last executed event,
-// so an engine driven in bounded windows (the parallel engine's epochs)
-// keeps a (now, seq) history bit-identical to the same engine driven by
-// one uninterrupted RunWhile. It reports whether cond() still held when
-// the window was exhausted (false means cond stopped the run).
-func (e *Engine) RunUntilWhile(deadline Time, cond func() bool) bool {
-	for cond() {
-		at, ok := e.peek()
-		if !ok || at > deadline {
-			return true
-		}
-		e.Step()
-	}
-	return false
-}
-
 // less is the (time, seq) total order shared by sift-up and sift-down.
 func less(a, b entry) bool {
 	if a.at != b.at {

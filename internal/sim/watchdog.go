@@ -49,9 +49,9 @@ func (w *Watchdog) Defer(until Time) {
 }
 
 // SetDiagnostic attaches an extra diagnostic source appended to the
-// failure message — a parallel run passes ParallelEngine.Diagnostic here
-// so a stalled partition fails loudly with its per-partition queue state
-// instead of hanging anonymously.
+// failure message — the fault injector passes its injected/recovered/
+// pending-reclaim counters here so a wedged campaign fails loudly with
+// its state instead of hanging anonymously.
 func (w *Watchdog) SetDiagnostic(diag func() string) { w.diag = diag }
 
 // NewWatchdog arms a watchdog on e. progress must be monotone while the

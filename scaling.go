@@ -23,10 +23,8 @@ type ScalingSweep struct {
 	// so every node does the same work at every size (weak scaling).
 	// The zero value selects DefaultPerNodeScale.
 	PerNode Scale
-	// Seed and IntraWorkers mirror the Run options and apply to every
-	// point alike.
-	Seed         uint64
-	IntraWorkers int
+	// Seed mirrors the Run option and applies to every point alike.
+	Seed uint64
 }
 
 // DefaultScalingNodes are the paper-motivated sweep points: 8 through
@@ -59,8 +57,7 @@ type ScalingResult struct {
 // smallest machine, and parallel efficiency — the simulator's version
 // of the paper's OLTP/DSS scaling curves. Points run concurrently
 // (SetParallelism) yet the result is deterministic: the same seed and
-// config reproduce identical curves, byte for byte, at any -jintra or
-// worker count.
+// config reproduce identical curves, byte for byte, at any worker count.
 func RunScalingSweep(w Workload, cfg ScalingSweep) ScalingResult {
 	nodes := cfg.Nodes
 	if len(nodes) == 0 {
@@ -82,13 +79,12 @@ func RunScalingSweep(w Workload, cfg ScalingSweep) ScalingResult {
 	exps := make([]Experiment, len(nodes))
 	for i, n := range nodes {
 		exps[i] = core.Experiment{
-			Name:         fmt.Sprintf("%s@%dn", name, n),
-			Sys:          ScaleOut(n, cpus),
-			Work:         w,
-			WarmTx:       per.Warm * uint64(n),
-			MeasureTx:    per.Measure * uint64(n),
-			Seed:         cfg.Seed,
-			IntraWorkers: cfg.IntraWorkers,
+			Name:      fmt.Sprintf("%s@%dn", name, n),
+			Sys:       ScaleOut(n, cpus),
+			Work:      w,
+			WarmTx:    per.Warm * uint64(n),
+			MeasureTx: per.Measure * uint64(n),
+			Seed:      cfg.Seed,
 		}
 	}
 	results := RunBatch(exps)
