@@ -132,7 +132,7 @@ func TestPresetsMatchTable1(t *testing.T) {
 }
 
 func TestMultiChipOnTorusTopology(t *testing.T) {
-	// Four chips on a 2x2 torus via the NoC-calibrated fabric network:
+	// Four chips on a 2x2 torus via the topology-distance fabric network:
 	// the run must complete, scale, and keep coherence invariants.
 	flat := Run(Experiment{
 		Sys:       SystemConfig{Chips: 4, Chip: PiranhaChip(2)},

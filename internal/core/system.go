@@ -7,7 +7,6 @@ import (
 	"piranha/internal/fault"
 	"piranha/internal/kernel"
 	"piranha/internal/l2"
-	"piranha/internal/noc"
 	"piranha/internal/pe"
 	"piranha/internal/sim"
 	"piranha/internal/stats"
@@ -25,10 +24,10 @@ type SystemConfig struct {
 	// NetOneWay is the flat one-way inter-chip latency used by the
 	// protocol fabric (calibrated to Table 1's 120/180 ns).
 	NetOneWay sim.Time
-	// Topology, when set, backs the fabric with the packet-level router
-	// model's calibrated distances instead of the flat latency (rings,
-	// meshes, tori — the glueless configurations of Figure 3).
-	Topology noc.Topology
+	// Topology, when set, charges each inter-chip message its
+	// shortest-path distance on this shape instead of the flat latency
+	// (rings, meshes, tori — the glueless configurations of Figure 3).
+	Topology Topology
 	// Kernel configures the OS model; zero takes kernel.DefaultConfig.
 	Kernel kernel.Config
 }
@@ -43,24 +42,34 @@ type System struct {
 	Cores  []*cpu.Core // flattened across chips
 }
 
+// Topology is an interconnect shape a multi-chip system can be built
+// on: the distance model the protocol fabric charges, plus a check of
+// its own dimensions.
+type Topology interface {
+	pe.Topology
+	Validate() error
+}
+
 // Validate checks the structural constraints NewSystemErr enforces —
-// a topology whose node count matches Chips and whose graph is
-// connected — without building the machine. Command-line front ends
-// run it before committing to construction so a typo'd flag combination
-// is a one-line diagnostic instead of a mid-run failure.
+// a topology with positive dimensions whose node count matches Chips —
+// without building the machine. Command-line front ends run it before
+// committing to construction so a typo'd flag combination is a one-line
+// diagnostic instead of a mid-run failure.
 func (cfg SystemConfig) Validate() error {
 	if cfg.Topology == nil {
 		return nil
 	}
-	chips := cfg.Chips
-	if chips < 1 {
-		chips = 1
-	}
-	if n := cfg.Topology.Nodes(); n != chips {
-		return fmt.Errorf("topology has %d nodes but the system has %d chips", n, chips)
-	}
-	if _, _, err := noc.Routes(cfg.Topology); err != nil {
+	return checkTopology(cfg.Topology, max(cfg.Chips, 1))
+}
+
+// checkTopology rejects a topology with non-positive dimensions or with
+// a node count other than chips.
+func checkTopology(t Topology, chips int) error {
+	if err := t.Validate(); err != nil {
 		return err
+	}
+	if n := t.Nodes(); n != chips {
+		return fmt.Errorf("topology has %d nodes but the system has %d chips", n, chips)
 	}
 	return nil
 }
@@ -78,8 +87,8 @@ func NewSystem(cfg SystemConfig) *System {
 
 // NewSystemErr builds the machine, returning an error instead of
 // panicking when the configuration cannot be assembled — a topology
-// whose node count disagrees with Chips, or one the router model
-// rejects. Command-line front ends use this to print a diagnostic
+// whose node count disagrees with Chips, or whose dimensions are not
+// positive. Command-line front ends use this to print a diagnostic
 // rather than a stack trace.
 func NewSystemErr(cfg SystemConfig) (*System, error) {
 	if cfg.Chips < 1 {
@@ -100,14 +109,10 @@ func NewSystemErr(cfg SystemConfig) (*System, error) {
 		pcfg.Nodes = cfg.Chips
 		var net pe.Network
 		if cfg.Topology != nil {
-			if n := cfg.Topology.Nodes(); n != cfg.Chips {
-				return nil, fmt.Errorf("topology has %d nodes but the system has %d chips", n, cfg.Chips)
-			}
-			tn, err := pe.NewTopologyNetwork(cfg.Topology, sim.MHz(500), 1)
-			if err != nil {
+			if err := checkTopology(cfg.Topology, cfg.Chips); err != nil {
 				return nil, err
 			}
-			net = tn
+			net = pe.NewTopologyNetwork(cfg.Topology, sim.MHz(500))
 		} else {
 			oneWay := cfg.NetOneWay
 			if oneWay == 0 {

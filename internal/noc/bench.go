@@ -7,7 +7,7 @@ package noc
 // true allocation profile; HopBench isolates the steady-state hop
 // machinery — output-queue arbitration, the arrival wheel, pool
 // compaction — which after the first round allocates nothing.
-// cmd/piranha-bench is the only intended caller.
+// cmd/piranha-bench and perfbench's noc.hop_ns rig call it.
 type HopBench struct {
 	Net  *Network
 	pkts []*Packet

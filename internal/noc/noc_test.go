@@ -58,6 +58,75 @@ func TestRoutesShortestPath(t *testing.T) {
 	}
 }
 
+// shape is a topology with a closed-form distance.
+type shape interface {
+	Topology
+	Distance(a, b int) int
+}
+
+// shapeGrid returns every Ring and Full of 2–40 nodes and every Torus
+// and Mesh from 1x1 to 9x9, degenerate 1xN and 2xN tori included.
+func shapeGrid() []shape {
+	var out []shape
+	for n := 2; n <= 40; n++ {
+		out = append(out, Ring{N: n}, Full{N: n})
+	}
+	for w := 1; w <= 9; w++ {
+		for h := 1; h <= 9; h++ {
+			out = append(out, Torus{W: w, H: h}, Mesh{W: w, H: h})
+		}
+	}
+	return out
+}
+
+// TestDistanceMatchesBFS checks every closed-form Distance against the
+// BFS hop table for all node pairs.
+func TestDistanceMatchesBFS(t *testing.T) {
+	for _, topo := range shapeGrid() {
+		_, hops, err := routes(topo)
+		if err != nil {
+			t.Fatalf("%#v: %v", topo, err)
+		}
+		for a, row := range hops {
+			for b, want := range row {
+				if got := topo.Distance(a, b); got != want {
+					t.Fatalf("%#v: Distance(%d, %d) = %d, BFS says %d", topo, a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestUncontendedShortPacketLatency: a short packet alone in the network
+// is injected on the first cycle and then pays ShortCycles per hop along
+// a shortest path, so it delivers in 1 + ShortCycles x Distance cycles.
+func TestUncontendedShortPacketLatency(t *testing.T) {
+	for _, topo := range []shape{
+		Ring{N: 7}, Full{N: 5}, Torus{W: 4, H: 4}, Torus{W: 2, H: 5},
+		Torus{W: 1, H: 6}, Torus{W: 3, H: 5}, Mesh{W: 3, H: 4},
+	} {
+		n, err := NewNetwork(DefaultConfig(), topo, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for src := 0; src < topo.Nodes(); src++ {
+			for dst := 0; dst < topo.Nodes(); dst++ {
+				if src == dst {
+					continue
+				}
+				p := n.Inject(src, dst, src%Priorities, false)
+				if err := n.Run(1000); err != nil {
+					t.Fatal(err)
+				}
+				want := 1 + ShortCycles*int64(topo.Distance(src, dst))
+				if got := p.DeliverCycle - p.InjectCycle; got != want {
+					t.Fatalf("%#v: %d->%d took %d cycles, want %d", topo, src, dst, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestRoutesDisconnected(t *testing.T) {
 	if _, _, err := routes(Table{Adj: [][]int{{1}, {0}, {}}}); err == nil {
 		t.Fatal("disconnected topology accepted")

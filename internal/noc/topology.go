@@ -37,6 +37,23 @@ func (r Ring) Neighbors(n int) []int {
 	return []int{(n + 1) % r.N, (n - 1 + r.N) % r.N}
 }
 
+// Distance returns the shortest-path hop count from a to b: the shorter
+// way round the ring.
+//
+//piranha:hotpath
+func (r Ring) Distance(a, b int) int {
+	d := abs(a - b)
+	return min(d, r.N-d)
+}
+
+// Validate rejects a ring without nodes.
+func (r Ring) Validate() error {
+	if r.N < 1 {
+		return fmt.Errorf("noc: ring of %d nodes", r.N)
+	}
+	return nil
+}
+
 // Torus is a W x H 2D torus (4 channels each, matching the Piranha
 // processing node's channel count).
 type Torus struct{ W, H int }
@@ -49,6 +66,25 @@ func (t Torus) Neighbors(n int) []int {
 	x, y := n%t.W, n/t.W
 	wrap := func(x, y int) int { return ((y+t.H)%t.H)*t.W + (x+t.W)%t.W }
 	return []int{wrap(x+1, y), wrap(x-1, y), wrap(x, y+1), wrap(x, y-1)}
+}
+
+// Distance returns the shortest-path hop count from a to b: each axis
+// is walked the shorter way round. On a 1-wide or 2-wide axis the
+// neighbour list repeats a node or holds the node itself, and the
+// formula still gives BFS's answer (0 and 1 hop respectively).
+//
+//piranha:hotpath
+func (t Torus) Distance(a, b int) int {
+	dx, dy := abs(a%t.W-b%t.W), abs(a/t.W-b/t.W)
+	return min(dx, t.W-dx) + min(dy, t.H-dy)
+}
+
+// Validate rejects non-positive dimensions.
+func (t Torus) Validate() error {
+	if t.W < 1 || t.H < 1 {
+		return fmt.Errorf("noc: torus dimensions %dx%d must be positive", t.W, t.H)
+	}
+	return nil
 }
 
 // Mesh is a W x H 2D mesh (edge nodes have fewer channels).
@@ -76,6 +112,22 @@ func (m Mesh) Neighbors(n int) []int {
 	return out
 }
 
+// Distance returns the shortest-path hop count from a to b: the
+// Manhattan distance.
+//
+//piranha:hotpath
+func (m Mesh) Distance(a, b int) int {
+	return abs(a%m.W-b%m.W) + abs(a/m.W-b/m.W)
+}
+
+// Validate rejects non-positive dimensions.
+func (m Mesh) Validate() error {
+	if m.W < 1 || m.H < 1 {
+		return fmt.Errorf("noc: mesh dimensions %dx%d must be positive", m.W, m.H)
+	}
+	return nil
+}
+
 // Full connects every pair of nodes directly.
 type Full struct{ N int }
 
@@ -93,6 +145,25 @@ func (f Full) Neighbors(n int) []int {
 	return out
 }
 
+// Distance returns the shortest-path hop count from a to b: one hop
+// between any two distinct nodes.
+//
+//piranha:hotpath
+func (f Full) Distance(a, b int) int {
+	if a == b {
+		return 0
+	}
+	return 1
+}
+
+// Validate rejects a fully connected network without nodes.
+func (f Full) Validate() error {
+	if f.N < 1 {
+		return fmt.Errorf("noc: fully connected network of %d nodes", f.N)
+	}
+	return nil
+}
+
 // Table is an arbitrary topology given by adjacency lists, as loaded into
 // the routers' routing tables by the system controller. It also models
 // I/O nodes, which have only two channels.
@@ -104,9 +175,16 @@ func (t Table) Nodes() int { return len(t.Adj) }
 // Neighbors implements Topology.
 func (t Table) Neighbors(n int) []int { return t.Adj[n] }
 
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
 // Routes computes per-node next-hop tables (all shortest-path next hops)
-// by BFS; hops[n][d] is the distance from n to d. Exported for the
-// protocol fabric's topology-backed network adapter.
+// by BFS; hops[n][d] is the distance from n to d. The system controller
+// checks a loaded routing table with it.
 func Routes(t Topology) (next [][][]int, hops [][]int, err error) {
 	return routes(t)
 }

@@ -1,25 +1,28 @@
 package pe
 
-import (
-	"fmt"
+import "piranha/internal/sim"
 
-	"piranha/internal/noc"
-	"piranha/internal/sim"
-)
+// Topology is the interconnect shape a TopologyNetwork charges distance
+// over.
+type Topology interface {
+	Nodes() int
+	// Neighbors returns the nodes reachable over n's channels; only its
+	// length is used, as n's egress channel count.
+	Neighbors(n int) []int
+	// Distance returns the shortest-path hop count from a to b.
+	Distance(a, b int) int
+}
 
 // TopologyNetwork backs the protocol fabric with a real interconnect
-// topology: per-hop latency is calibrated by running probe packets
-// through the packet-level router simulation (internal/noc), and each
-// message then pays distance-proportional latency plus per-node egress
-// occupancy. This keeps the fabric's synchronous interface while the
-// detailed hot-potato router model supplies the numbers — and it is how
-// multi-chip experiments see non-uniform distance effects on topologies
-// like rings and tori instead of the flat one-way constant.
+// topology: each message pays a fixed interface overhead, its
+// shortest-path distance times a per-hop latency, and per-node egress
+// occupancy. It models no link contention and no deflection. This is
+// how multi-chip experiments see non-uniform distance effects on
+// topologies like rings and tori instead of the flat one-way constant.
 type TopologyNetwork struct {
-	topo    noc.Topology
-	hops    [][]int
+	topo    Topology
 	clock   sim.Clock
-	hopLat  sim.Time // per-hop latency (calibrated)
+	hopLat  sim.Time // per-hop latency
 	baseLat sim.Time // fixed wire/interface overhead per message
 	egress  []*sim.Server
 
@@ -27,58 +30,46 @@ type TopologyNetwork struct {
 }
 
 // calibrationProbes bounds how many destinations the per-hop latency
-// probe measures on large machines.
+// averages over on large machines.
 const calibrationProbes = 64
 
-// NewTopologyNetwork calibrates per-hop latency on the given topology
-// and returns the adapter. The interconnect clock is the router clock.
-func NewTopologyNetwork(topo noc.Topology, clock sim.Clock, seed uint64) (*TopologyNetwork, error) {
-	net, err := noc.NewNetwork(noc.DefaultConfig(), topo, seed)
-	if err != nil {
-		return nil, err
-	}
-	// Probe: measure uncontended delivery latency per hop by sending
-	// short packets between increasingly distant node pairs. The hop
-	// table comes from the network itself — recomputing Routes here
-	// would repeat the O(N^2) BFS NewNetwork already paid.
-	hops := net.Hops()
-	// Above 64 nodes, probe a fixed budget of evenly-strided
-	// destinations instead of all N-1: the calibration only needs an
-	// uncontended cycles-per-hop average, and sampling keeps system
-	// construction O(probes x diameter) rather than O(N x diameter).
-	// At 64 nodes or fewer the stride is 1, so small systems probe
-	// every destination exactly as before.
-	probes := topo.Nodes() - 1
-	if probes > calibrationProbes {
-		probes = calibrationProbes
-	}
-	var totalCycles, totalHops int64
+// shortCycles is the channel occupancy of a 128-bit packet in router
+// cycles. It mirrors internal/noc.ShortCycles, which pe does not import;
+// TestHopLatencyMatchesRouterProbes checks the two agree.
+const shortCycles = 2
+
+// NewTopologyNetwork returns the adapter over topo. The interconnect
+// clock is the router clock.
+//
+// The per-hop latency is what internal/noc's router measures for short
+// packets sent one at a time from node 0 to P = min(N-1, 64) evenly
+// strided destinations dst_k = 1 + k(N-1)/P: an uncontended packet takes
+// 1 + shortCycles x hops cycles, so total cycles over total hops H is
+// shortCycles + P/H in integer division.
+func NewTopologyNetwork(topo Topology, clock sim.Clock) *TopologyNetwork {
+	nodes := topo.Nodes()
+	probes := min(nodes-1, calibrationProbes)
+	hops := 0
 	for k := 0; k < probes; k++ {
-		dst := 1 + k*(topo.Nodes()-1)/probes
-		p := net.Inject(0, dst, 2, false)
-		if err := net.Run(1 << 20); err != nil {
-			return nil, err
-		}
-		totalCycles += p.DeliverCycle - p.InjectCycle
-		totalHops += int64(hops[0][dst])
+		hops += topo.Distance(0, 1+k*(nodes-1)/probes)
 	}
-	if totalHops == 0 {
-		return nil, fmt.Errorf("pe: degenerate topology")
+	cycles := int64(shortCycles)
+	if hops > 0 { // a one-node topology has nothing to probe and never sends
+		cycles += int64(probes / hops)
 	}
 	t := &TopologyNetwork{
 		topo:    topo,
-		hops:    hops,
 		clock:   clock,
-		hopLat:  clock.Cycles(totalCycles / totalHops),
+		hopLat:  clock.Cycles(cycles),
 		baseLat: 8 * sim.Nanosecond, // interface + synchronization
 	}
-	for i := 0; i < topo.Nodes(); i++ {
+	for i := 0; i < nodes; i++ {
 		t.egress = append(t.egress, sim.NewServer(len(topo.Neighbors(i))))
 	}
-	return t, nil
+	return t
 }
 
-// HopLatency returns the calibrated per-hop latency.
+// HopLatency returns the per-hop latency.
 func (t *TopologyNetwork) HopLatency() sim.Time { return t.hopLat }
 
 // Send implements Network.
@@ -90,5 +81,5 @@ func (t *TopologyNetwork) Send(now sim.Time, from, to NodeID, bytes int, prio in
 	// Channel occupancy: 64 data bits per interconnect cycle.
 	cycles := int64((bytes*8 + 63) / 64)
 	sent := t.egress[from].Acquire(now, t.clock.Cycles(cycles))
-	return sent + t.baseLat + sim.Time(t.hops[from][to])*t.hopLat
+	return sent + t.baseLat + sim.Time(t.topo.Distance(int(from), int(to)))*t.hopLat
 }

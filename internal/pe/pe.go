@@ -67,7 +67,7 @@ const (
 )
 
 // FlatNetwork is a fixed-latency, per-node-egress-bandwidth network model
-// used when full NoC simulation is not needed; the latency is calibrated
+// used when the system has no topology; the latency is calibrated
 // so end-to-end remote accesses match Table 1 (120 ns clean, 180 ns
 // dirty). Egress pools are a slice indexed directly by NodeID — Send is
 // on the critical path of every inter-node message, and the previous

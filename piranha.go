@@ -160,9 +160,8 @@ func MultiChipOOO(n int) SystemConfig {
 
 // ScaleOut returns the glueless scale-out machine of paper Figure 3 /
 // §2.6: n Piranha chips with cpusPerChip cores each on a 2-D torus
-// (the most-square W x H factorization of n), backed by the
-// packet-level router model so inter-node latency grows with torus
-// distance instead of staying flat. The paper's design target is
+// (the most-square W x H factorization of n), so inter-node latency
+// grows with torus distance instead of staying flat. The paper's design target is
 // n up to 1024 nodes; ScaleOut64 through ScaleOut1024 are the preset
 // points of the scaling suite.
 func ScaleOut(n, cpusPerChip int) SystemConfig {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"piranha/internal/core"
+	"piranha/internal/noc"
 )
 
 func TestScaleOutTorusDims(t *testing.T) {
@@ -24,10 +25,9 @@ func TestScaleOutTorusDims(t *testing.T) {
 
 // TestScaleOut256ByteIdentity is the scale-out determinism contract: a
 // 256-node torus run is byte-identical across the serial and parallel
-// batch runners. This is the machine
-// size where the sparse-activation NoC, the diameter-sized arrival
-// wheel, and the O(active) fabric paths are all exercised, so identity
-// here certifies they preserve the simulation's event and RNG streams.
+// batch runners. At this machine size the fabric's O(active) fan-out
+// paths and torus distances are exercised, so identity here certifies
+// they preserve the simulation's event and RNG streams.
 func TestScaleOut256ByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-node run in -short mode")
@@ -68,13 +68,24 @@ func TestScalingSweepDeterministic(t *testing.T) {
 }
 
 // TestNewSystemErrBadTopology pins the error path NewSystemErr adds: a
-// topology whose node count disagrees with Chips must come back as an
-// error (and as a panic from NewSystem), not a mis-built machine.
+// topology whose node count disagrees with Chips, or whose dimensions
+// are not positive, must come back as an error from Validate and
+// NewSystemErr (and as a panic from NewSystem), not a mis-built machine.
 func TestNewSystemErrBadTopology(t *testing.T) {
 	bad := ScaleOut(64, 1)
 	bad.Chips = 32 // topology still 8x8
 	if _, err := core.NewSystemErr(bad); err == nil {
 		t.Fatal("NewSystemErr accepted a 64-node topology on a 32-chip system")
+	}
+	// Both dimensions negative: the node count matches 8 chips.
+	for _, topo := range []core.Topology{noc.Torus{W: -2, H: -4}, noc.Mesh{W: -2, H: -4}} {
+		cfg := SystemConfig{Chips: 8, Chip: core.PiranhaChip(1), Topology: topo}
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("Validate accepted %#v", topo)
+		}
+		if _, err := core.NewSystemErr(cfg); err == nil {
+			t.Errorf("NewSystemErr accepted %#v", topo)
+		}
 	}
 	defer func() {
 		if recover() == nil {
