@@ -1,4 +1,4 @@
-// Command piranha-mc model-checks a registered coherence protocol: it
+// Command piranha-mc model-checks the Piranha coherence protocol: it
 // exhaustively explores the reachable state space of an N-node
 // micro-system (2–4 nodes, one line, home at node 0) and verifies the
 // §3.5 safety claims — NAK-freedom, deadlock-freedom, no stale-data
@@ -37,7 +37,6 @@ import (
 
 func main() {
 	var (
-		proto      = flag.String("protocol", "piranha", "registered protocol to check")
 		nodes      = flag.Int("nodes", 2, "micro-system size (2-4; node 0 is the home)")
 		ops        = flag.Int("ops", mcheck.DefaultMaxOps, "processor-operation budget per trace")
 		depth      = flag.Int("depth", 0, "BFS depth bound (0 = explore to exhaustion)")
@@ -58,25 +57,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "piranha-mc: -nodes must be 2, 3 or 4")
 		os.Exit(2)
 	}
-	spec, ok := protocol.Lookup(*proto)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "piranha-mc: unknown protocol %q (registered:", *proto)
-		for _, s := range protocol.Registered() {
-			fmt.Fprintf(os.Stderr, " %s", s.Name)
-		}
-		fmt.Fprintln(os.Stderr, ")")
-		os.Exit(2)
-	}
 	cfg := mcheck.Config{
 		Nodes: *nodes, MaxOps: *ops, MaxDepth: *depth,
 		MaxStates: *maxStates, TSRFEntries: *tsrf, MaxViolations: *violations,
 	}
 
 	if *selftest {
-		os.Exit(runSelfTest(cfg, *jsonOut, *cxDir, spec.Name))
+		os.Exit(runSelfTest(cfg, *jsonOut, *cxDir))
 	}
 
-	table, label := spec.Table, spec.Name
+	table, label := protocol.Piranha(), "piranha"
 	if *mutate != "" {
 		m, ok := protocol.MutationByName(*mutate)
 		if !ok {
@@ -87,24 +77,24 @@ func main() {
 			fmt.Fprintln(os.Stderr, ")")
 			os.Exit(2)
 		}
-		table, label = m.Apply(), spec.Name+"+"+m.Name
+		table, label = m.Apply(), "piranha+"+m.Name
 	}
 
 	res := mcheck.Check(table, cfg)
 	res.Protocol = label
 	if *cxDir != "" {
-		if err := writeCounterexamples(*cxDir, label, res.Violations); err != nil {
+		if err := writeNamedCounterexamples(*cxDir, label, res.Violations); err != nil {
 			fmt.Fprintln(os.Stderr, "piranha-mc:", err)
 			os.Exit(2)
 		}
 	}
 	if *jsonOut {
-		if err := writeResultJSON(os.Stdout, res, spec); err != nil {
+		if err := writeResultJSON(os.Stdout, res); err != nil {
 			fmt.Fprintln(os.Stderr, "piranha-mc:", err)
 			os.Exit(2)
 		}
 	} else {
-		report(res, spec)
+		report(res)
 	}
 	if len(res.Violations) > 0 {
 		os.Exit(1)
@@ -114,7 +104,7 @@ func main() {
 // report prints the human-readable summary: the exploration's scale,
 // then each violation as a piranha-vet-style diagnostic followed by its
 // counterexample trace.
-func report(res *mcheck.Result, spec protocol.Spec) {
+func report(res *mcheck.Result) {
 	scope := "bounded"
 	if res.Exhausted {
 		scope = "exhausted"
@@ -125,7 +115,7 @@ func report(res *mcheck.Result, spec protocol.Spec) {
 		fmt.Println("piranha-mc: no violations")
 		return
 	}
-	diags := res.Diagnostics(spec)
+	diags := res.Diagnostics()
 	for i, v := range res.Violations {
 		fmt.Println(diags[i])
 		for _, s := range v.Trace {
@@ -141,7 +131,7 @@ func report(res *mcheck.Result, spec protocol.Spec) {
 
 // runSelfTest plants each cataloged bug and requires the checker to
 // catch it. A clean self-test exits 0; an undetected mutation exits 1.
-func runSelfTest(cfg mcheck.Config, jsonOut bool, cxDir, protoName string) int {
+func runSelfTest(cfg mcheck.Config, jsonOut bool, cxDir string) int {
 	if cfg.MaxViolations < 4 {
 		// A planted bug may trip sibling invariants before its
 		// documented one; give the expected invariant room to surface.
@@ -157,8 +147,7 @@ func runSelfTest(cfg mcheck.Config, jsonOut bool, cxDir, protoName string) int {
 	if cxDir != "" {
 		for _, m := range protocol.Mutations() {
 			res := mcheck.Check(m.Apply(), cfg)
-			name := fmt.Sprintf("%s-%s", protoName, m.Name)
-			if err := writeNamedCounterexamples(cxDir, name, res.Violations); err != nil {
+			if err := writeNamedCounterexamples(cxDir, "piranha-"+m.Name, res.Violations); err != nil {
 				fmt.Fprintln(os.Stderr, "piranha-mc:", err)
 				return 2
 			}
@@ -188,16 +177,12 @@ func runSelfTest(cfg mcheck.Config, jsonOut bool, cxDir, protoName string) int {
 	return 0
 }
 
-func writeCounterexamples(dir, protoName string, violations []mcheck.Violation) error {
-	return writeNamedCounterexamples(dir, protoName, violations)
-}
-
 // writeResultJSON emits the exploration result with its violations
 // rendered in the same diagnostic wire shape piranha-vet -json uses, so
 // downstream tooling parses findings from either command identically.
-func writeResultJSON(w io.Writer, res *mcheck.Result, spec protocol.Spec) error {
+func writeResultJSON(w io.Writer, res *mcheck.Result) error {
 	var diags bytes.Buffer
-	if err := lint.WriteJSON(&diags, res.Diagnostics(spec)); err != nil {
+	if err := lint.WriteJSON(&diags, res.Diagnostics()); err != nil {
 		return err
 	}
 	out := struct {

@@ -1,6 +1,6 @@
 // Command piranha-vet runs the repository's static-analysis suite
-// (internal/lint): determinism, hot-path allocation, protocol-table
-// completeness/NAK-freedom, and nil-receiver guards. See DESIGN.md §8
+// (internal/lint): determinism, hot-path allocation and nil-receiver
+// guards. See DESIGN.md §8
 // for the checked invariants and the annotation grammar.
 //
 // Usage:

@@ -58,7 +58,7 @@ func TestTopologyFabricPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "8c97beccd5a55c828a195a21a14db1e9ab26fc6500a270a73a7339e50a5b507d"
+	const want = "c99fef433477a67416e29e1b35402799937edd71be2fd0514301892cf4883c57"
 	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
 		t.Errorf("ScaleOut8 OLTP Result SHA-256 %s, want %s", got, want)
 	}

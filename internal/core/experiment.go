@@ -149,6 +149,13 @@ var forceTrace = sync.OnceValue(func() bool {
 
 // Run executes the experiment.
 func Run(e Experiment) Result {
+	r, _ := RunSystem(e)
+	return r
+}
+
+// RunSystem executes the experiment and also returns the machine it ran
+// on, for inspecting component state after the run.
+func RunSystem(e Experiment) (Result, *System) {
 	if e.MeasureTx == 0 {
 		e.MeasureTx = 200
 	}
@@ -368,7 +375,7 @@ func Run(e Experiment) Result {
 	if err := sys.CheckInvariants(); err != nil {
 		panic("core: post-run invariant violation: " + err.Error())
 	}
-	return r
+	return r, sys
 }
 
 // DefaultKernel re-exports the kernel defaults for cmd-layer tuning.

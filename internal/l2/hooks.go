@@ -141,6 +141,17 @@ func (l *L2) HasLine(line cache.LineAddr) bool {
 	return l.BankOf(line).info.Ref(line) != nil
 }
 
+// Holding reports whether the chip holds the line and, if so, whether
+// it holds it exclusively system-wide (no other node may have a copy).
+//
+//piranha:hotpath
+func (l *L2) Holding(line cache.LineAddr) (held, exclusive bool) {
+	if info := l.BankOf(line).info.Ref(line); info != nil {
+		return true, info.remote == RemoteNone
+	}
+	return false, false
+}
+
 // LineDirty reports the dirty status of an on-chip line.
 //
 //piranha:hotpath

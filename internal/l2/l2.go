@@ -138,11 +138,13 @@ type Remote interface {
 	// writes; true for reads only when no other node holds a copy —
 	// the clean-exclusive optimization).
 	Fetch(now sim.Time, kind Kind, l cache.LineAddr) (done sim.Time, svc Svc, exclusive bool)
-	// Invalidate invalidates all remote sharers of a home-local line
-	// and returns when the acknowledgments have been gathered.
-	Invalidate(now sim.Time, l cache.LineAddr) sim.Time
-	// Writeback sends a dirty remotely-homed line back to its home
-	// when the L2 replaces it with no L1 copies left.
+	// Invalidate invalidates all remote sharers of a home-local line for
+	// a local write of the given kind (Upgrade when the chip holds the
+	// line) and returns when the write may proceed.
+	Invalidate(now sim.Time, kind Kind, l cache.LineAddr) sim.Time
+	// Writeback returns an exclusively held remotely-homed line, clean
+	// or dirty, to its home when the L2 replaces it with no L1 copies
+	// left: the directory names this chip as owner until it does.
 	Writeback(now sim.Time, l cache.LineAddr)
 }
 
@@ -162,7 +164,7 @@ func (LocalOnly) Fetch(sim.Time, Kind, cache.LineAddr) (sim.Time, Svc, bool) {
 }
 
 // Invalidate is a no-op with no remote sharers.
-func (LocalOnly) Invalidate(now sim.Time, _ cache.LineAddr) sim.Time { return now }
+func (LocalOnly) Invalidate(now sim.Time, _ Kind, _ cache.LineAddr) sim.Time { return now }
 
 // Writeback panics: a single-chip system has no remotely-homed lines.
 func (LocalOnly) Writeback(sim.Time, cache.LineAddr) {
@@ -465,7 +467,7 @@ func (l *L2) revokeRemote(now sim.Time, line cache.LineAddr, info *lineInfo) sim
 		return now
 	}
 	if l.remote.HomeIsLocal(line) {
-		now = l.remote.Invalidate(now, line)
+		now = l.remote.Invalidate(now, Upgrade, line)
 	} else {
 		now, _, _ = l.remote.Fetch(now, Upgrade, line)
 	}
@@ -554,7 +556,7 @@ func (l *L2) serveMiss(b *Bank, start sim.Time, req *l1.Cache, kind Kind, line c
 			}
 		case RemoteShared:
 			if kind == ReadEx || kind == ReadExNoData {
-				inv := l.remote.Invalidate(done, line)
+				inv := l.remote.Invalidate(done, kind, line)
 				if inv > done {
 					done = inv
 				}
@@ -754,12 +756,17 @@ func (l *L2) l2Evicted(b *Bank, now sim.Time, line cache.LineAddr) {
 		}
 	}
 	// No L1 copies remain.
-	if info.dirty && l.remote.HomeIsLocal(line) {
+	if info.dirty {
 		l.Stats.WritebacksToMem++
-		l.mems[b.idx].Write(now, line.Addr())
-	} else if info.dirty {
-		// Dirty line homed remotely: the remote engine writes it back.
-		l.Stats.WritebacksToMem++
+	}
+	if l.remote.HomeIsLocal(line) {
+		if info.dirty {
+			l.mems[b.idx].Write(now, line.Addr())
+		}
+	} else if info.remote == RemoteNone {
+		// An exclusively held remote-homed line, clean or dirty: the
+		// remote engine writes it back, so the home's directory never
+		// names an owner without a copy.
 		l.remote.Writeback(now, line)
 	}
 	b.info.Delete(line)

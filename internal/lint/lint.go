@@ -1,5 +1,5 @@
 // Package lint implements piranha-vet, the repository's static-analysis
-// suite. Four analyzers enforce the properties the simulator's value
+// suite. Three analyzers enforce the properties the simulator's value
 // rests on but the compiler cannot check (DESIGN.md §8):
 //
 //   - determinism: nothing may leak host nondeterminism (wall-clock
@@ -9,10 +9,6 @@
 //   - hotpath: functions annotated //piranha:hotpath must stay free of
 //     allocation-introducing constructs (closures, defer, fmt, string
 //     concatenation, map/slice literals, interface conversions).
-//   - protocoltable: the directory-protocol dispatch in
-//     internal/pe/transactions.go must cover the full cross-product of
-//     protocol states and message kinds, with deliberate holes recorded
-//     in a //piranha:unreachable ledger, and no NAK may be sent.
 //   - nilguard: every exported method on //piranha:nilguard types must
 //     begin with the nil-receiver guard the zero-overhead tracing
 //     contract depends on.
@@ -25,7 +21,6 @@
 //
 //	//piranha:hotpath                      (function doc comment)
 //	//piranha:nilguard                     (type doc comment)
-//	//piranha:unreachable STATE MSG reason (protocol file, * wildcards)
 //	//piranha:allow analyzer reason        (same line as the finding or
 //	                                        the line directly above)
 package lint
@@ -59,10 +54,9 @@ type Analyzer struct {
 
 // Directive comment prefixes.
 const (
-	dirAllow       = "//piranha:allow"
-	dirHotpath     = "//piranha:hotpath"
-	dirNilguard    = "//piranha:nilguard"
-	dirUnreachable = "//piranha:unreachable"
+	dirAllow    = "//piranha:allow"
+	dirHotpath  = "//piranha:hotpath"
+	dirNilguard = "//piranha:nilguard"
 )
 
 // Run executes the analyzers over every package, applies

@@ -10,15 +10,15 @@ import (
 	"piranha/internal/trace"
 )
 
+// TableFile is the module-relative file holding the shipped protocol's
+// rules; diagnostics anchor there.
+const TableFile = "internal/protocol/piranha.go"
+
 // Diagnostics renders a result's violations as piranha-vet diagnostics,
-// anchored at the protocol's first registered file: the table is the
-// artifact being checked, and the finding should land where its rules
-// are edited. One diagnostic per violation, in discovery order.
-func (r *Result) Diagnostics(spec protocol.Spec) []lint.Diagnostic {
-	file := "internal/protocol"
-	if len(spec.Files) > 0 {
-		file = spec.Files[0]
-	}
+// anchored at TableFile: the table is the artifact being checked, and
+// the finding should land where its rules are edited. One diagnostic
+// per violation, in discovery order.
+func (r *Result) Diagnostics() []lint.Diagnostic {
 	var out []lint.Diagnostic
 	for _, v := range r.Violations {
 		msg := fmt.Sprintf("%d-node exploration: %s", r.Nodes, v.Detail)
@@ -27,7 +27,7 @@ func (r *Result) Diagnostics(spec protocol.Spec) []lint.Diagnostic {
 		}
 		msg += fmt.Sprintf("; counterexample depth %d", v.Depth)
 		out = append(out, lint.Diagnostic{
-			File:     file,
+			File:     TableFile,
 			Line:     1,
 			Analyzer: "mcheck/" + v.Invariant,
 			Message:  msg,

@@ -1,5 +1,5 @@
-// Package mcheck is a bounded model checker for protocol tables
-// registered in internal/protocol: it exhaustively enumerates the
+// Package mcheck is a bounded model checker for the protocol tables of
+// internal/protocol: it exhaustively enumerates the
 // reachable states of an N-node micro-system (2–4 nodes, one cache
 // line, home at node 0) under all message interleavings and proves the
 // §3.5 safety claims — NAK-freedom (every reception is specified),

@@ -176,14 +176,13 @@ func TestCounterexampleExport(t *testing.T) {
 func TestDiagnostics(t *testing.T) {
 	m, _ := protocol.MutationByName("missing-tsrf-release")
 	res := Check(m.Apply(), Config{Nodes: 2})
-	spec, _ := protocol.Lookup("piranha")
-	diags := res.Diagnostics(spec)
+	diags := res.Diagnostics()
 	if len(diags) != len(res.Violations) {
 		t.Fatalf("%d diagnostics for %d violations", len(diags), len(res.Violations))
 	}
 	d := diags[0]
-	if d.File != spec.Files[0] {
-		t.Errorf("diagnostic anchored at %q, want %q", d.File, spec.Files[0])
+	if d.File != TableFile {
+		t.Errorf("diagnostic anchored at %q, want %q", d.File, TableFile)
 	}
 	if d.Analyzer != "mcheck/"+InvTSRFLeak {
 		t.Errorf("analyzer = %q, want mcheck/%s", d.Analyzer, InvTSRFLeak)
@@ -193,7 +192,7 @@ func TestDiagnostics(t *testing.T) {
 	}
 	// A clean result yields no diagnostics.
 	clean := Check(protocol.Piranha(), Config{Nodes: 2})
-	if diags := clean.Diagnostics(spec); len(diags) != 0 {
+	if diags := clean.Diagnostics(); len(diags) != 0 {
 		t.Errorf("clean run produced diagnostics: %v", diags)
 	}
 }

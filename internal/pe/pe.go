@@ -1,5 +1,5 @@
-// Package pe implements Piranha's protocol engines and inter-node cache
-// coherence protocol (paper §2.5).
+// Package pe implements Piranha's protocol engines and the inter-node
+// cache coherence protocol's timing (paper §2.5).
 //
 // Each processing node has two microprogrammable engines: the home engine
 // (HE) exports memory whose home is the local node, the remote engine (RE)
@@ -7,27 +7,16 @@
 // state register file (TSRF); a transaction occupies an entry for its
 // duration, bounding concurrency.
 //
-// The protocol is invalidation-based with four request types (read,
-// read-exclusive, exclusive/upgrade, exclusive-without-data) and these
-// distinguishing features, all modeled here:
-//
-//   - Clean-exclusive optimization: a read returns an exclusive copy when
-//     no other node shares the line.
-//   - Reply forwarding: a dirty remote read is 3-hop — requester -> home
-//     -> owner -> requester — and the home completes its directory update
-//     immediately, with no "ownership change" confirmation message (the
-//     DASH-style baseline in this package sends one, for the ablation).
-//   - Eager exclusive replies: ownership is granted before invalidation
-//     acknowledgments arrive; acks are gathered at the requesting node.
-//   - No NAKs, no retries: forwarded requests are always serviceable
-//     (owners hold data until writebacks are acknowledged; early
-//     forwarded requests are delayed at the owner), so the protocol has
-//     no livelock or starvation. The baseline engine NAKs under conflict
-//     and retries, for comparison.
-//   - Cruise-missile invalidates (CMI): a write to a widely-shared line
-//     injects only a handful of invalidation messages; each visits a
-//     predetermined subset of sharers serially and the last node in each
-//     subset acknowledges, bounding both injected messages and buffering.
+// The protocol itself — clean-exclusive reads, reply forwarding with the
+// directory updated at the forward point, eager exclusive replies, no
+// NAKs — is internal/protocol's table, the one internal/mcheck verifies;
+// exec.go executes it, charging each rule's actions as timing. Cruise-
+// missile invalidates (CMI) route a write's invalidations: only a handful
+// of messages are injected, each visits a predetermined subset of sharers
+// serially and the last node in each subset acknowledges. The DASH-style
+// baseline (Config.Baseline) runs the same rules with NAK-and-retry at a
+// saturated home, an ownership-change confirmation, and strict waits for
+// invalidation acks, for the §2.5.3 ablation.
 //
 // Directory state is stored in the spare ECC bits of the home node's
 // memory (see internal/ecc and internal/directory); reading a line's
@@ -43,6 +32,7 @@ import (
 	"piranha/internal/fault"
 	"piranha/internal/l2"
 	"piranha/internal/linemap"
+	"piranha/internal/protocol"
 	"piranha/internal/sim"
 	"piranha/internal/trace"
 )
@@ -238,6 +228,13 @@ type node struct {
 	// the directory in the home memory's spare ECC bits (§2.5.2): flat
 	// index-addressed words, not pointer-boxed map values.
 	dir *linemap.Map[uint64]
+	// busy holds, per home line, when the home engine last released a
+	// TSRF entry a forward held for it (q-defer waits that out), and
+	// busyMax the latest of those times; shadow, for a node with no L2
+	// bound, the line kinds the table left it.
+	busy    *linemap.Map[sim.Time]
+	busyMax sim.Time
+	shadow  *linemap.Map[protocol.LineKind]
 	// dead marks a fail-stopped node: it no longer sources requests, its
 	// home lines are served by its RAS mirror, and the reconstruction
 	// sweep has purged it from every surviving directory.
@@ -267,6 +264,9 @@ type Fabric struct {
 	// slice per fabric is safe; each call fully overwrites it.
 	sharerScratch []NodeID
 
+	// fires counts protocol rule firings, indexed like the table.
+	fires []uint64
+
 	// Global protocol statistics.
 	InvalsSent  uint64
 	InvalMsgs   uint64 // invalidation messages injected (CMI collapses these)
@@ -282,7 +282,8 @@ type Fabric struct {
 
 // NewFabric builds an n-node coherence domain over the given network.
 func NewFabric(cfg Config, net Network) *Fabric {
-	f := &Fabric{cfg: cfg, dcfg: directory.Config{Nodes: cfg.Nodes}, net: net}
+	f := &Fabric{cfg: cfg, dcfg: directory.Config{Nodes: cfg.Nodes}, net: net,
+		fires: make([]uint64, len(piranhaRules.table.Rules))}
 	// Per-home directory tables start at 1024 slots for small machines
 	// (PR 5's warm steady state) but scale the initial capacity down as
 	// the page-interleaved homes multiply: each home sees ~1/N of the
@@ -507,8 +508,9 @@ func (f *Fabric) purgeDead(done sim.Time, h *node, id NodeID, st *FailStopStats)
 // reconstructs the directory: every surviving home is purged of the dead
 // node's sharer/owner state, and the dead home's own entries are rebuilt
 // at its RAS mirror — the mirrored memory carries the directory ECC bits
-// too, so the entries survive verbatim (minus the dead node itself) and
-// requests re-routed by HomeOf find them there. Returns when the sweep
+// too, so the entries survive verbatim (minus the dead node itself, and
+// minus the mirror, now their home) and requests re-routed by HomeOf
+// find them there. Returns when the sweep
 // completes and what it touched. Surviving L2 invariants are re-checked
 // afterwards; reconstruction must never leave coherence inconsistent.
 func (f *Fabric) FailNode(now sim.Time, id NodeID) (sim.Time, FailStopStats) {
@@ -544,6 +546,9 @@ func (f *Fabric) FailNode(now sim.Time, id NodeID) (sim.Time, FailStopStats) {
 	for _, line := range dead.dir.Keys() {
 		e := f.dirEntry(dead, line)
 		e, d := dropNode(e, id)
+		// The mirror is the line's home now, and a home's own copies
+		// are never recorded in its directory (§2.5.2).
+		e, _ = dropNode(e, m)
 		st.SharersDropped += d.SharersDropped
 		st.OwnerReclaims += d.OwnerReclaims
 		st.HomesAdopted++

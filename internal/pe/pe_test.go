@@ -1,6 +1,7 @@
 package pe
 
 import (
+	"strings"
 	"testing"
 
 	"piranha/internal/cache"
@@ -32,6 +33,12 @@ type chipRig struct {
 // newSystem builds n chips (4 CPUs each) over a flat network.
 func newSystem(t testing.TB, n int, baseline bool) (*Fabric, []*chipRig) {
 	t.Helper()
+	return newSystemL2(t, n, baseline, l2.DefaultConfig())
+}
+
+// newSystemL2 is newSystem with the given L2 geometry.
+func newSystemL2(t testing.TB, n int, baseline bool, l2cfg l2.Config) (*Fabric, []*chipRig) {
+	t.Helper()
 	cfg := DefaultConfig(n)
 	cfg.Baseline = baseline
 	cfg.UseCMI = !baseline
@@ -51,7 +58,7 @@ func newSystem(t testing.TB, n int, baseline bool) (*Fabric, []*chipRig) {
 		for b := 0; b < 8; b++ {
 			mems = append(mems, &fakeMem{})
 		}
-		c.l2 = l2.New(l2.DefaultConfig(), clock, l1s, mems, ics.New(ics.DefaultConfig(clock)), f.Proto(NodeID(i)))
+		c.l2 = l2.New(l2cfg, clock, l1s, mems, ics.New(ics.DefaultConfig(clock)), f.Proto(NodeID(i)))
 		f.BindL2(NodeID(i), c.l2)
 		chips = append(chips, c)
 	}
@@ -277,13 +284,15 @@ func TestBroadcastVsCMIMessageCounts(t *testing.T) {
 }
 
 func TestBaselineSendsMoreMessages(t *testing.T) {
-	// Same 3-hop dirty-read sequence under both protocols; the DASH
-	// baseline must emit the extra ownership-change confirmation.
+	// Same 3-hop dirty-write sequence under both protocols; the DASH
+	// baseline must emit the extra ownership-change confirmation. (On a
+	// dirty read the two tie: Piranha's owner sends the sharing
+	// writeback where DASH's sends the confirmation.)
 	run := func(baseline bool) uint64 {
 		f, chips := newSystem(t, 3, baseline)
 		a := lineHomedAt(f, 1)
 		chips[2].l2.Access(0, chips[2].d[0], l2.ReadEx, a)
-		chips[0].l2.Access(10*sim.Microsecond, chips[0].d[0], l2.Read, a)
+		chips[0].l2.Access(10*sim.Microsecond, chips[0].d[0], l2.ReadEx, a)
 		var msgs uint64
 		for i := 0; i < 3; i++ {
 			he, re := f.Engines(NodeID(i))
@@ -308,7 +317,7 @@ func TestBaselineNAKsUnderSaturation(t *testing.T) {
 	// Saturate the home engine's two TSRF entries far into the future.
 	_, rel1 := h.home.tsrf.Reserve(0)
 	_, rel2 := h.home.tsrf.Reserve(0)
-	done, _, _ := f.atHome(0, h, 0, l2.Read, 0x40, false)
+	done, _, _ := f.Proto(0).Fetch(0, l2.Read, lineHomedAt(f, 1).Line())
 	rel1(1 * sim.Millisecond)
 	rel2(1 * sim.Millisecond)
 	if h.home.Stats.NAKs == 0 {
@@ -328,7 +337,7 @@ func TestNoNAKQueuesInsteadOfNAKing(t *testing.T) {
 	_, rel2 := h.home.tsrf.Reserve(0)
 	rel1(200 * sim.Nanosecond)
 	rel2(200 * sim.Nanosecond)
-	done, _, _ := f.atHome(0, h, 0, l2.Read, 0x40, false)
+	done, _, _ := f.Proto(0).Fetch(0, l2.Read, lineHomedAt(f, 1).Line())
 	if h.home.Stats.NAKs != 0 {
 		t.Fatal("no-NAK protocol NAKed")
 	}
@@ -338,16 +347,23 @@ func TestNoNAKQueuesInsteadOfNAKing(t *testing.T) {
 }
 
 func TestCrossChipInvariantStress(t *testing.T) {
-	_, chips := newSystem(t, 4, false)
+	// A 32 KB L2 under a footprint far larger than it, so exclusively
+	// held remote lines are evicted from their chips all run long.
+	cfg := l2.DefaultConfig()
+	cfg.SizeBytes = 32 << 10
+	f, chips := newSystemL2(t, 4, false, cfg)
 	rng := sim.NewRNG(77)
 	now := sim.Time(0)
-	for i := 0; i < 8000; i++ {
+	for i := 0; i < 64000; i++ {
 		chip := chips[rng.Intn(4)]
 		cpu := rng.Intn(4)
-		// A shared hot region spanning pages homed at all nodes.
+		// Half the accesses go to a shared hot region spanning pages
+		// homed at all nodes, half to a 1 MB region.
 		a := cache.Addr(rng.Intn(512)) * cache.LineBytes
 		if rng.Bool(0.5) {
 			a += cache.Addr(rng.Intn(4)) << cache.PageShift
+		} else {
+			a = cache.Addr(rng.Intn(1<<14)) * cache.LineBytes
 		}
 		now += sim.Time(rng.Intn(500)) * sim.Nanosecond
 		d := chip.d[cpu]
@@ -393,6 +409,27 @@ func TestCrossChipInvariantStress(t *testing.T) {
 			}
 		}
 	}
+	// Every owner the directories name still holds its line: a chip
+	// never drops an exclusive remote line without writing it back.
+	owned, stale := 0, 0
+	for _, h := range f.nodes {
+		for _, line := range h.dir.Keys() {
+			e := f.dirEntry(h, line)
+			if e.State != directory.Exclusive {
+				continue
+			}
+			owned++
+			if !chips[e.Owner].l2.HasLine(line) {
+				stale++
+			}
+		}
+	}
+	if owned == 0 {
+		t.Fatal("no exclusive directory entries at the end of the run")
+	}
+	if stale != 0 {
+		t.Fatalf("%d of %d exclusive directory entries name an owner with no copy", stale, owned)
+	}
 }
 
 func TestEngineTimeoutRecovery(t *testing.T) {
@@ -412,4 +449,19 @@ func TestEngineTimeoutRecovery(t *testing.T) {
 	if done <= 1*sim.Millisecond {
 		t.Fatal("engine wedged after recovery")
 	}
+}
+
+func TestReachingAHolePanics(t *testing.T) {
+	// Node 1 requests a line the directory already records it owning:
+	// the table declares that combination unreachable.
+	f := NewFabric(DefaultConfig(2), NewFlatNetwork(25*sim.Nanosecond))
+	line := lineHomedAt(f, 0).Line()
+	f.setDir(f.nodes[0], line, directory.SetExclusive(directory.Entry{}, 1))
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "owner is the requester") {
+			t.Fatalf("recovered %q, want the owner-is-requester hole", msg)
+		}
+	}()
+	f.Proto(1).Fetch(0, l2.ReadEx, line)
 }

@@ -1,6 +1,6 @@
 // The shipped protocol: Piranha's NAK-free invalidation-based directory
-// protocol (ISCA 2000 §2.5, §3.5) as a declarative table. The rules are
-// extracted one-for-one from the dispatch in internal/pe/transactions.go:
+// protocol (ISCA 2000 §2.5, §3.5) as a declarative table — the one
+// implementation internal/pe executes and internal/mcheck verifies:
 //
 //   - reply forwarding: a request that hits a remote exclusive owner is
 //     forwarded once and the owner replies straight to the requester
@@ -9,18 +9,19 @@
 //     invalidation acks return; the acks gather at the requester;
 //   - clean-exclusive optimization: a read of an uncached line with no
 //     home-chip copy is granted exclusively;
-//   - no NAKs: the directory is updated eagerly at the forward point, a
-//     replaced exclusive line is held by its writer until the home
-//     acknowledges the writeback, and a forwarded request that races
+//   - no NAKs: the directory is updated eagerly at the forward point, an
+//     exclusive line leaving its node — clean or dirty — is written back
+//     and held by its writer until the home acknowledges, a dirty read
+//     forward refreshes home memory with a sharing writeback while the
+//     home defers same-line requests, and a forwarded request that races
 //     ahead of its target's fill is delayed, not bounced.
 //
-// One deliberate refinement over pe's timing model: pe sizes every
-// upgrade reply as a header-only packet (it models no data), but an
-// upgrade whose requester has dropped out of the sharer set — the copy
-// was invalidated or silently evicted while the upgrade was in flight —
-// must be answered with data (q-upgrade-miss-*). The model checker
-// proves why: a no-data grant landing on an invalid line is a stale
-// read, exactly the bug the wrong-reply-kind mutation plants.
+// An upgrade whose requester has dropped out of the sharer set — the
+// copy was invalidated or silently evicted while the upgrade was in
+// flight — is answered with data (q-upgrade-miss-*), not a header-only
+// grant. The model checker proves why: a no-data grant landing on an
+// invalid line is a stale read, exactly the bug the wrong-reply-kind
+// mutation plants.
 package protocol
 
 import (
@@ -29,31 +30,14 @@ import (
 )
 
 // WantsExclusive maps a request kind to whether the transaction must
-// end with the requester holding the line exclusively. The switch is
-// exhaustive over l2.Kind so that adding a request kind without
-// deciding its ownership semantics fails piranha-vet's protocol-table
-// check rather than silently defaulting; internal/pe drives its
-// dispatch off this predicate.
+// end with the requester holding the line exclusively. A request kind
+// without decided ownership semantics panics rather than defaulting.
 func WantsExclusive(kind l2.Kind) bool {
 	switch kind {
 	case l2.Read:
 		return false
 	case l2.ReadEx, l2.Upgrade, l2.ReadExNoData:
 		return true
-	}
-	panic("protocol: unknown request kind")
-}
-
-// ReplyCarriesData reports whether the home's reply to a request it
-// services itself carries the full line: reads and read-exclusives do,
-// while upgrades and write-hint grants are header-only. pe maps this to
-// its long/short packet sizes.
-func ReplyCarriesData(kind l2.Kind) bool {
-	switch kind {
-	case l2.Read, l2.ReadEx:
-		return true
-	case l2.Upgrade, l2.ReadExNoData:
-		return false
 	}
 	panic("protocol: unknown request kind")
 }
@@ -91,8 +75,7 @@ func dirSlug(dir directory.State) string {
 }
 
 // Piranha builds a fresh copy of the shipped protocol's table. Callers
-// that want to mutate it (the mcheck self-test) get their own instance;
-// the registered Spec holds another.
+// that want to mutate it (the mcheck self-test) get their own instance.
 func Piranha() *Table {
 	t := &Table{}
 	t.Rules = append(t.Rules, issueRules()...)
@@ -151,7 +134,7 @@ func issueRules() []Rule {
 // the home services itself (its own copies are never recorded in the
 // directory, §2.5.2), invalidates remote sharers with the acks
 // gathering locally, or — when a remote node owns the line — becomes a
-// requester itself and forwards (pe's homeLocalOwnerFetch).
+// requester itself and forwards.
 func homeIssueRules(dir directory.State) []Rule {
 	slug := dirSlug(dir)
 	switch dir {
@@ -394,8 +377,7 @@ func writebackRules() []Rule {
 
 // holes declare the combinations the protocol promises never happen.
 // The model checker proves each promise: reaching one is a violation
-// with a counterexample, exactly as a stale //piranha:unreachable
-// ledger entry is a lint finding.
+// with a counterexample (and a panic in internal/pe's executor).
 func holes() []Hole {
 	return []Hole{
 		{Dir: directory.Exclusive, Line: LineAny, Msg: MsgReq, Req: ReqAny,
@@ -413,21 +395,4 @@ func holes() []Hole {
 		{Dir: directory.Exclusive, Line: LineAny, Msg: MsgShareWB, Req: ReqAny,
 			Reason: "sharing writeback with the line exclusively owned: the read-forward window the writeback closes keeps the directory shared until it arrives"},
 	}
-}
-
-func init() {
-	t := Piranha()
-	if err := t.Validate(); err != nil {
-		panic(err)
-	}
-	Register(Spec{
-		Name: "piranha",
-		Files: []string{
-			"internal/protocol/piranha.go",
-			"internal/pe/transactions.go",
-		},
-		StatePkg: "internal/directory", StateName: "State",
-		MsgPkg: "internal/l2", MsgName: "Kind",
-		Table: t,
-	})
 }

@@ -1,31 +1,25 @@
-// Package protocol lifts the inter-node coherence protocol out of the
-// hardwired switches of internal/pe/transactions.go into a declarative
-// transition table: a list of guarded actions keyed by directory state
-// × L2 line kind × incoming message kind (refined by the request kind
-// for request-bearing messages). The table serves three masters:
+// Package protocol is Piranha's inter-node coherence protocol as a
+// declarative transition table: a list of guarded actions keyed by
+// directory state × L2 line kind × incoming message kind (refined by the
+// request kind for request-bearing messages). The table is the one
+// implementation of the protocol, and two interpreters give it meaning:
 //
-//   - internal/pe consults it for the per-request facets its dispatch
-//     needs (ownership semantics, reply class) and is cross-validated
-//     against the directory transitions it encodes (pe_test);
-//   - internal/mcheck interprets the whole table as an abstract
-//     message-passing machine and exhaustively explores its reachable
-//     state space for 2–4 node micro-systems, proving the §3.5
-//     invariants (NAK-freedom, deadlock-freedom, no stale fills,
-//     TSRF bounds) instead of spot-checking them dynamically;
-//   - internal/lint's protocoltable analyzer reads the Registry so its
-//     AST-level exhaustiveness checks follow any protocol that is
-//     registered, not just the one file it used to hardcode.
+//   - internal/pe executes it: every protocol message the timing model
+//     delivers fires the table's rule for its key, and each action
+//     opcode is charged as timing (engine occupancy, packets on the
+//     fabric, directory updates);
+//   - internal/mcheck explores it as an abstract message-passing machine
+//     and exhaustively checks the reachable state space of 2–4 node
+//     micro-systems, proving the §3.5 invariants (NAK-freedom,
+//     deadlock-freedom, no stale fills, TSRF bounds) and that no
+//     declared hole is reachable.
 //
 // The table is *data*: rules name their guard and carry a flat list of
-// action opcodes. The interpreter giving the opcodes meaning lives in
-// internal/mcheck; pe keeps its calibrated timing model and only
-// shares the protocol *decisions* with the table. Rival protocols
-// (ROADMAP item 4) plug in by registering a second Spec.
+// action opcodes, so what the simulator runs is what the checker proved.
 package protocol
 
 import (
 	"fmt"
-	"sort"
 
 	"piranha/internal/directory"
 	"piranha/internal/l2"
@@ -213,9 +207,9 @@ const (
 	// of the acting node's engine TSRF.
 	OpReserveTSRF
 	OpReleaseTSRF
-	// OpSupplyHome reads the home's data for a reply exactly as pe
-	// does: from the home chip's cached copy when one exists, else
-	// from home memory (where data and directory share the DRAM line).
+	// OpSupplyHome reads the home's data for a reply: from the home
+	// chip's cached copy when one exists, else from home memory (where
+	// data and directory share the DRAM line).
 	// The model checker asserts the supplied value is current.
 	OpSupplyHome
 	// OpSupplyOwn replies from the acting (owner) node's copy.
@@ -239,7 +233,7 @@ const (
 	// writing a dirty copy through to home memory (the same DRAM line
 	// holds the directory); no-op when the home holds no exclusive copy.
 	OpDowngradeHome
-	// OpDirReadGrant applies pe's read-service directory update: the
+	// OpDirReadGrant applies the read-service directory update: the
 	// clean-exclusive optimization (dir Uncached and no home-chip
 	// copy) records the requester as exclusive owner; otherwise the
 	// requester is added as a sharer.
@@ -264,10 +258,9 @@ const (
 	OpAckRequester
 	// OpGatherAck consumes one invalidation ack at the requester.
 	OpGatherAck
-	// OpUpdateMem writes the acting node's (or message's) data back to
-	// home memory. Dirty shares update memory at owner-serve time,
-	// exactly as pe models them (the reply-forwarded memory update is
-	// not a separate message).
+	// OpUpdateMem writes the acting node's (or the received writeback's)
+	// data into home memory: a home-chip eviction, a writeback, or the
+	// sharing writeback (OpSendShareWB) a dirty read forward sends.
 	OpUpdateMem
 	// OpSendWB emits a writeback carrying the line's data; the
 	// writer's copy persists until MsgWBAck.
@@ -360,9 +353,9 @@ type Rule struct {
 
 // Hole is a (directory state × line kind × message kind) combination
 // the protocol declares unreachable, with the reason. The model
-// checker proves the declaration: reaching a declared hole is a
-// violation, exactly as a stale //piranha:unreachable ledger entry is
-// a lint finding.
+// checker proves the declaration (reaching a declared hole is a
+// violation), and internal/pe panics if its timing model ever reaches
+// one.
 type Hole struct {
 	Dir    directory.State
 	Line   LineKind
@@ -375,53 +368,6 @@ type Hole struct {
 type Table struct {
 	Rules []Rule
 	Holes []Hole
-}
-
-// Spec registers a protocol: its table plus the metadata internal/lint
-// needs to run AST-level exhaustiveness checks over the files that
-// implement it.
-type Spec struct {
-	Name string
-	// Files are the module-relative Go files carrying the protocol's
-	// dispatch switches; the lint protocoltable analyzer checks each.
-	Files []string
-	// StatePkg/StateName and MsgPkg/MsgName locate the two enums whose
-	// cross-product the dispatch must cover (module-relative package
-	// directories).
-	StatePkg, StateName string
-	MsgPkg, MsgName     string
-	Table               *Table
-}
-
-var registry = map[string]Spec{}
-
-// Register adds a protocol spec; duplicate names panic (two protocols
-// silently shadowing each other would rot the lint and mcheck gates).
-func Register(s Spec) {
-	if _, dup := registry[s.Name]; dup {
-		panic("protocol: duplicate registration of " + s.Name)
-	}
-	if s.Table == nil {
-		panic("protocol: spec " + s.Name + " has no table")
-	}
-	registry[s.Name] = s
-}
-
-// Registered returns all registered specs sorted by name (map order
-// must never leak into lint or checker output).
-func Registered() []Spec {
-	out := make([]Spec, 0, len(registry))
-	for _, s := range registry {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Lookup returns the named spec.
-func Lookup(name string) (Spec, bool) {
-	s, ok := registry[name]
-	return s, ok
 }
 
 // RequestKinds enumerates the protocol's request kinds in declaration

@@ -8,38 +8,9 @@ import (
 	"piranha/internal/l2"
 )
 
-func TestPiranhaRegisteredAndValid(t *testing.T) {
-	spec, ok := Lookup("piranha")
-	if !ok {
-		t.Fatal("piranha spec not registered")
-	}
-	if err := spec.Table.Validate(); err != nil {
-		t.Fatalf("registered table invalid: %v", err)
-	}
-	if len(spec.Files) == 0 {
-		t.Fatal("spec names no files for lint")
-	}
-	if spec.StateName != "State" || spec.MsgName != "Kind" {
-		t.Fatalf("unexpected enum names: %q/%q", spec.StateName, spec.MsgName)
-	}
-}
-
-func TestRegisteredSortedAndContainsPiranha(t *testing.T) {
-	specs := Registered()
-	if len(specs) == 0 {
-		t.Fatal("no registered specs")
-	}
-	found := false
-	for i, s := range specs {
-		if i > 0 && specs[i-1].Name >= s.Name {
-			t.Fatalf("Registered not sorted: %q before %q", specs[i-1].Name, s.Name)
-		}
-		if s.Name == "piranha" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("piranha missing from Registered")
+func TestPiranhaTableValid(t *testing.T) {
+	if err := Piranha().Validate(); err != nil {
+		t.Fatalf("shipped table invalid: %v", err)
 	}
 }
 
@@ -75,22 +46,40 @@ func TestMatchAndWildcards(t *testing.T) {
 }
 
 func TestWantsExclusiveAndReplyData(t *testing.T) {
+	// The home's shared-line service rule answers reads and writes with
+	// the line and upgrade/wh64 with a header-only grant.
+	tab := Piranha()
 	cases := []struct {
 		kind l2.Kind
+		rule string
 		excl bool
 		data bool
 	}{
-		{l2.Read, false, true},
-		{l2.ReadEx, true, true},
-		{l2.Upgrade, true, false},
-		{l2.ReadExNoData, true, false},
+		{l2.Read, "q-read-shared", false, true},
+		{l2.ReadEx, "q-write-shared", true, true},
+		{l2.Upgrade, "q-upgrade-hit-shared", true, false},
+		{l2.ReadExNoData, "q-wh64-shared", true, false},
 	}
 	for _, c := range cases {
 		if got := WantsExclusive(c.kind); got != c.excl {
 			t.Errorf("WantsExclusive(%v) = %v, want %v", c.kind, got, c.excl)
 		}
-		if got := ReplyCarriesData(c.kind); got != c.data {
-			t.Errorf("ReplyCarriesData(%v) = %v, want %v", c.kind, got, c.data)
+		var rule *Rule
+		for i := range tab.Rules {
+			if tab.Rules[i].Name == c.rule {
+				rule = &tab.Rules[i]
+			}
+		}
+		if rule == nil {
+			t.Fatalf("table has no rule %q", c.rule)
+		}
+		data, grant := false, false
+		for _, op := range rule.Do {
+			data = data || op == OpReplyData
+			grant = grant || op == OpReplyGrant
+		}
+		if data != c.data || grant == c.data {
+			t.Errorf("%s: reply-data=%v reply-grant=%v, want data=%v", c.rule, data, grant, c.data)
 		}
 	}
 }
@@ -160,10 +149,6 @@ func TestMutationsDoNotAliasPristine(t *testing.T) {
 	}
 	if !tablesEqual(fresh, Piranha()) {
 		t.Fatal("mutation leaked into freshly built tables")
-	}
-	spec, _ := Lookup("piranha")
-	if !tablesEqual(fresh, spec.Table) {
-		t.Fatal("mutation leaked into the registered table")
 	}
 }
 
