@@ -91,11 +91,16 @@ type Config struct {
 // Sets returns the number of sets implied by the geometry.
 func (c Config) Sets() int { return c.SizeBytes / LineBytes / c.Ways }
 
-// Cache is a set-associative array of lines.
+// Cache is a set-associative array of lines. The lines live in one
+// set-major array (set s is lines[s*ways : s*ways+ways]), so a lookup
+// reads one contiguous run of ways and no per-set slice header: on a
+// many-node machine the arrays outgrow the host caches and each
+// extra line read is a DRAM miss.
 type Cache struct {
 	cfg   Config
-	sets  [][]Line
-	rrPtr []int // round-robin pointer per set
+	lines []Line
+	mask  uint64 // sets-1
+	rrPtr []int  // round-robin pointer per set
 	tick  uint64
 
 	// Stats.
@@ -110,24 +115,33 @@ func New(cfg Config) *Cache {
 	if n <= 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a positive power of two", n))
 	}
-	c := &Cache{cfg: cfg, sets: make([][]Line, n), rrPtr: make([]int, n)}
-	for i := range c.sets {
-		c.sets[i] = make([]Line, cfg.Ways)
+	return &Cache{
+		cfg:   cfg,
+		lines: make([]Line, n*cfg.Ways),
+		mask:  uint64(n - 1),
+		rrPtr: make([]int, n),
 	}
-	return c
 }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) setIndex(l LineAddr) int {
-	return int(uint64(l) >> c.cfg.IndexShift & uint64(len(c.sets)-1))
+	return int(uint64(l) >> c.cfg.IndexShift & c.mask)
+}
+
+// set returns set si's ways.
+func (c *Cache) set(si int) []Line {
+	w := c.cfg.Ways
+	return c.lines[si*w : si*w+w : si*w+w]
 }
 
 // Lookup returns the line holding l, or nil. It does not update LRU state;
 // callers that model an access should use Probe.
+//
+//piranha:hotpath
 func (c *Cache) Lookup(l LineAddr) *Line {
-	set := c.sets[c.setIndex(l)]
+	set := c.set(c.setIndex(l))
 	for i := range set {
 		if set[i].State.Valid() && set[i].Tag == l {
 			return &set[i]
@@ -138,6 +152,8 @@ func (c *Cache) Lookup(l LineAddr) *Line {
 
 // Probe performs an access: on hit it updates recency and returns the
 // line; on miss it returns nil. Hit/miss counters are updated.
+//
+//piranha:hotpath
 func (c *Cache) Probe(l LineAddr) *Line {
 	ln := c.Lookup(l)
 	if ln == nil {
@@ -153,12 +169,14 @@ func (c *Cache) Probe(l LineAddr) *Line {
 // Insert fills line l with the given state, selecting a victim when the
 // set is full. It returns the evicted line (State != Invalid only when a
 // valid line was displaced).
+//
+//piranha:hotpath
 func (c *Cache) Insert(l LineAddr, state MESI) (victim Line) {
 	if state == Invalid {
 		panic("cache: inserting invalid line")
 	}
 	si := c.setIndex(l)
-	set := c.sets[si]
+	set := c.set(si)
 	// Reuse the line if present (state change), else an invalid way.
 	way := -1
 	for i := range set {
@@ -221,11 +239,9 @@ func (c *Cache) Downgrade(l LineAddr) MESI {
 // Contents returns all valid lines (for invariant checks in tests).
 func (c *Cache) Contents() []Line {
 	var out []Line
-	for _, set := range c.sets {
-		for _, ln := range set {
-			if ln.State.Valid() {
-				out = append(out, ln)
-			}
+	for _, ln := range c.lines {
+		if ln.State.Valid() {
+			out = append(out, ln)
 		}
 	}
 	return out
@@ -234,11 +250,9 @@ func (c *Cache) Contents() []Line {
 // CountValid returns the number of valid lines.
 func (c *Cache) CountValid() int {
 	n := 0
-	for _, set := range c.sets {
-		for _, ln := range set {
-			if ln.State.Valid() {
-				n++
-			}
+	for _, ln := range c.lines {
+		if ln.State.Valid() {
+			n++
 		}
 	}
 	return n

@@ -135,7 +135,7 @@ func TestRecoverTime(t *testing.T) {
 		}
 		// Cross-check against the pool the sweep actually drives.
 		p := sim.NewPool("x", 1)
-		start, _ := p.Reserve(c.start)
+		start := p.Reserve(c.start).Start()
 		prev := c.want - 50*sim.Microsecond
 		if prev > start {
 			if n := p.RecoverStale(prev, 20*sim.Microsecond); n != 0 {

@@ -58,7 +58,7 @@ func TestZeroValueReady(t *testing.T) {
 // working set must not grow the table.
 func TestTombstoneReuse(t *testing.T) {
 	m := New[int](8)
-	cap0 := len(m.state)
+	cap0 := m.Cap()
 	for round := 0; round < 1000; round++ {
 		for k := cache.LineAddr(0); k < 8; k++ {
 			m.Put(k, round)
@@ -69,8 +69,8 @@ func TestTombstoneReuse(t *testing.T) {
 			}
 		}
 	}
-	if len(m.state) > 2*cap0 {
-		t.Fatalf("churn grew table %d -> %d slots", cap0, len(m.state))
+	if m.Cap() > 2*cap0 {
+		t.Fatalf("churn grew table %d -> %d slots", cap0, m.Cap())
 	}
 	if m.Len() != 0 {
 		t.Fatalf("Len = %d after full delete", m.Len())
@@ -99,10 +99,10 @@ func TestReset(t *testing.T) {
 	for k := cache.LineAddr(0); k < 100; k++ {
 		m.Put(k, sim.Time(k))
 	}
-	cap0 := len(m.state)
+	cap0 := m.Cap()
 	m.Reset()
-	if m.Len() != 0 || len(m.state) != cap0 {
-		t.Fatalf("Reset: len=%d cap %d->%d", m.Len(), cap0, len(m.state))
+	if m.Len() != 0 || m.Cap() != cap0 {
+		t.Fatalf("Reset: len=%d cap %d->%d", m.Len(), cap0, m.Cap())
 	}
 	if _, ok := m.Get(5); ok {
 		t.Fatal("entry survived Reset")

@@ -115,10 +115,10 @@ type txn struct {
 	pendFill bool // req awaits its reply
 	pendWB   bool // req awaits its writeback acknowledgment
 
-	// issueRel releases the TSRF entry req reserved for the whole
+	// issueRel holds the TSRF entry req reserved for the whole
 	// transaction; homeRel the home handler's entry when a rule held it
 	// past the handler (a read forward's, until the sharing writeback).
-	issueRel, homeRel func(sim.Time)
+	issueRel, homeRel sim.Hold
 	issueAt, homeAt   sim.Time // span starts
 
 	ackTime sim.Time // last invalidation ack at req
@@ -137,10 +137,10 @@ type act struct {
 	excl  bool            // a reply's exclusivity grant
 
 	charged bool
-	rel     func(sim.Time) // this firing's handler entry, if it took one
-	held    bool           // OpReserveTSRF keeps rel past the handler
-	end     sim.Time       // when the handler's entry frees
-	spanEnd sim.Time       // a home reply's arrival (trace)
+	rel     sim.Hold // this firing's handler entry, if it took one
+	held    bool     // OpReserveTSRF keeps rel past the handler
+	end     sim.Time // when the handler's entry frees
+	spanEnd sim.Time // a home reply's arrival (trace)
 
 	chipServed bool // the home chip held the line and served the request
 	chipReady  sim.Time
@@ -319,11 +319,11 @@ func (f *Fabric) charge(x *txn, a *act) {
 
 // reserve takes an engine TSRF entry at now and returns when the
 // engine's occupancy for the message is over.
-func (f *Fabric) reserve(e *Engine, now sim.Time) (sim.Time, func(sim.Time)) {
-	start, rel := e.tsrf.Reserve(now)
+func (f *Fabric) reserve(e *Engine, now sim.Time) (sim.Time, sim.Hold) {
+	h := e.tsrf.Reserve(now)
 	e.Stats.Transactions++
 	e.Stats.Occupancy += e.occ
-	return start + e.occ, rel
+	return h.Start() + e.occ, h
 }
 
 // engineFor is the engine a node runs the line's transactions on.
@@ -349,7 +349,7 @@ func (f *Fabric) exec(x *txn, a *act, r *protocol.Rule) (delayed bool) {
 			a.emit(protocol.MsgReq, x.home, t, false)
 
 		case protocol.OpReserveTSRF:
-			if a.rel != nil { // a request handler keeps its entry
+			if a.rel.Held() { // a request handler keeps its entry
 				a.held = true
 				break
 			}
@@ -363,7 +363,7 @@ func (f *Fabric) exec(x *txn, a *act, r *protocol.Rule) (delayed bool) {
 			a.now, x.issueRel = f.reserve(e, a.now)
 
 		case protocol.OpReleaseTSRF:
-			if a.n == x.req && x.issueRel != nil {
+			if a.n == x.req && x.issueRel.Held() {
 				f.releaseIssue(x, a.now)
 			} else {
 				f.releaseHome(x, a.now)
@@ -425,7 +425,7 @@ func (f *Fabric) exec(x *txn, a *act, r *protocol.Rule) (delayed bool) {
 			if len(sharers) == 0 {
 				break
 			}
-			if a.rel == nil { // a home-local write engages the home engine
+			if !a.rel.Held() { // a home-local write engages the home engine
 				a.now, a.rel = f.reserve(a.n.home, a.now)
 			}
 			f.fanOut(x, a.now, sharers, a.entry.State == directory.SharedCoarse)
@@ -539,11 +539,11 @@ func (f *Fabric) exec(x *txn, a *act, r *protocol.Rule) (delayed bool) {
 // finish closes a firing: the handler's TSRF entry frees unless the
 // rule held it, and the messages the rule sent are delivered in order.
 func (f *Fabric) finish(x *txn, a *act) sim.Time {
-	if a.rel != nil {
+	if a.rel.Held() {
 		if a.held {
 			x.homeRel = a.rel
 		} else {
-			a.rel(a.end)
+			a.rel.Release(a.end)
 			if a.msg == protocol.MsgReq {
 				f.tr.Span(trace.PE, trace.KHomeTx, uint8(a.n.id), unitHE, uint64(x.line.Addr()), x.homeAt, max(a.end, a.spanEnd), uint32(x.kind))
 			}
@@ -559,11 +559,11 @@ func (f *Fabric) finish(x *txn, a *act) sim.Time {
 // releaseHome frees the home handler's held entry at t; the line's
 // read-forward window closes with it.
 func (f *Fabric) releaseHome(x *txn, t sim.Time) {
-	if x.homeRel == nil {
+	if !x.homeRel.Held() {
 		return
 	}
-	x.homeRel(t)
-	x.homeRel = nil
+	x.homeRel.Release(t)
+	x.homeRel = sim.Hold{}
 	f.markBusy(x.home, x.line, t)
 	f.tr.Span(trace.PE, trace.KHomeTx, uint8(x.home.id), unitHE, uint64(x.line.Addr()), x.homeAt, t, uint32(x.kind))
 }
@@ -591,8 +591,8 @@ func (f *Fabric) homeReady(x *txn, a *act) sim.Time {
 // t and traces the transaction; at the home the line's engine is busy
 // until then.
 func (f *Fabric) releaseIssue(x *txn, t sim.Time) {
-	x.issueRel(t)
-	x.issueRel = nil
+	x.issueRel.Release(t)
+	x.issueRel = sim.Hold{}
 	k, unit, arg := trace.KRemoteTx, unitRE, uint32(x.kind)
 	if x.req == x.home {
 		k, unit = trace.KHomeTx, unitHE

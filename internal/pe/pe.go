@@ -393,7 +393,7 @@ func (f *Fabric) ScheduleRecovery(eng *sim.Engine) {
 // concurrent losses to exhaust the 16-entry pool and wedge the machine.
 // The periodic ScheduleRecovery sweep backstops anything left stranded.
 func (f *Fabric) loseAndRecover(e *Engine, now sim.Time) sim.Time {
-	start, _ := e.tsrf.Reserve(now) // release intentionally abandoned
+	start := e.tsrf.Reserve(now).Start() // the hold is intentionally abandoned
 	e.Stats.Transactions++
 	recoverAt := f.inj.RecoverTime(start)
 	f.inj.NoteSweep(e.Recover(recoverAt, f.inj.Plan().Timeout))

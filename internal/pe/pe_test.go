@@ -315,11 +315,11 @@ func TestBaselineNAKsUnderSaturation(t *testing.T) {
 	f := NewFabric(cfg, NewFlatNetwork(25*sim.Nanosecond))
 	h := f.nodes[1]
 	// Saturate the home engine's two TSRF entries far into the future.
-	_, rel1 := h.home.tsrf.Reserve(0)
-	_, rel2 := h.home.tsrf.Reserve(0)
+	hold1 := h.home.tsrf.Reserve(0)
+	hold2 := h.home.tsrf.Reserve(0)
 	done, _, _ := f.Proto(0).Fetch(0, l2.Read, lineHomedAt(f, 1).Line())
-	rel1(1 * sim.Millisecond)
-	rel2(1 * sim.Millisecond)
+	hold1.Release(1 * sim.Millisecond)
+	hold2.Release(1 * sim.Millisecond)
 	if h.home.Stats.NAKs == 0 {
 		t.Fatal("saturated baseline home did not NAK")
 	}
@@ -333,10 +333,8 @@ func TestNoNAKQueuesInsteadOfNAKing(t *testing.T) {
 	cfg.TSRFEntries = 2
 	f := NewFabric(cfg, NewFlatNetwork(25*sim.Nanosecond))
 	h := f.nodes[1]
-	_, rel1 := h.home.tsrf.Reserve(0)
-	_, rel2 := h.home.tsrf.Reserve(0)
-	rel1(200 * sim.Nanosecond)
-	rel2(200 * sim.Nanosecond)
+	h.home.tsrf.Reserve(0).Release(200 * sim.Nanosecond)
+	h.home.tsrf.Reserve(0).Release(200 * sim.Nanosecond)
 	done, _, _ := f.Proto(0).Fetch(0, l2.Read, lineHomedAt(f, 1).Line())
 	if h.home.Stats.NAKs != 0 {
 		t.Fatal("no-NAK protocol NAKed")

@@ -6,15 +6,15 @@ import (
 )
 
 // TestPoolLateReleaseAfterRecoverIsNoOp pins the RecoverStale fix: a
-// release closure firing after the sweep already reclaimed (and another
+// Hold released after the sweep already reclaimed (and another
 // reservation reused) its server must not clobber the new occupant.
 func TestPoolLateReleaseAfterRecoverIsNoOp(t *testing.T) {
 	p := NewPool("tsrf", 1)
 
 	// Reservation A at t=100 is abandoned (its reply was lost).
-	startA, releaseA := p.Reserve(100)
-	if startA != 100 {
-		t.Fatalf("start A = %d, want 100", startA)
+	holdA := p.Reserve(100)
+	if holdA.Start() != 100 {
+		t.Fatalf("start A = %d, want 100", holdA.Start())
 	}
 
 	// The sweep at t=5000 reclaims it (timeout 1000).
@@ -29,15 +29,15 @@ func TestPoolLateReleaseAfterRecoverIsNoOp(t *testing.T) {
 	}
 
 	// Reservation B reuses the server.
-	startB, releaseB := p.Reserve(5000)
-	if startB != 5000 {
-		t.Fatalf("start B = %d, want 5000", startB)
+	holdB := p.Reserve(5000)
+	if holdB.Start() != 5000 {
+		t.Fatalf("start B = %d, want 5000", holdB.Start())
 	}
 	busyBefore := p.BusyTime
 
 	// A's release arrives late (the transaction's code path finally
 	// unwound). It must be a no-op: B still holds the server.
-	releaseA(6000)
+	holdA.Release(6000)
 	if p.BusyTime != busyBefore {
 		t.Errorf("late release changed BusyTime: %d -> %d", busyBefore, p.BusyTime)
 	}
@@ -46,7 +46,7 @@ func TestPoolLateReleaseAfterRecoverIsNoOp(t *testing.T) {
 	}
 
 	// B's own release still works.
-	releaseB(8000)
+	holdB.Release(8000)
 	if got := p.InUse(9000); got != 0 {
 		t.Errorf("B's release ignored: InUse = %d, want 0", got)
 	}
@@ -59,7 +59,7 @@ func TestPoolLateReleaseAfterRecoverIsNoOp(t *testing.T) {
 // closed (Acquire-style) busy server are both left alone.
 func TestPoolRecoverStaleRespectsTimeout(t *testing.T) {
 	p := NewPool("tsrf", 2)
-	_, release := p.Reserve(0)
+	hold := p.Reserve(0)
 	p.Acquire(0, 10_000) // closed-end occupancy, not an open reservation
 
 	if n := p.RecoverStale(500, 1000); n != 0 {
@@ -73,7 +73,7 @@ func TestPoolRecoverStaleRespectsTimeout(t *testing.T) {
 	if n := p.RecoverStale(1001, 1000); n != 1 {
 		t.Fatalf("RecoverStale past timeout = %d, want 1", n)
 	}
-	release(2000) // late release of the reclaimed entry: must be inert
+	hold.Release(2000) // late release of the reclaimed entry: must be inert
 	if got := p.InUse(5000); got != 1 {
 		t.Errorf("InUse = %d, want 1 (the Acquire occupancy)", got)
 	}

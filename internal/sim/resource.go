@@ -62,8 +62,8 @@ type Pool struct {
 	// heldSince records when an open-ended Reserve claimed each server
 	// (zero when the server is not under an open reservation).
 	heldSince []Time
-	// gen counts reservation epochs per server. Release closures capture
-	// the generation they were issued under, so a release arriving after
+	// gen counts reservation epochs per server. A Hold records the
+	// generation it was issued under, so a release arriving after
 	// RecoverStale already reclaimed (and possibly re-reserved) the
 	// server is a no-op instead of clobbering the new occupant.
 	gen []uint32
@@ -95,6 +95,8 @@ func (p *Pool) Size() int { return len(p.free) }
 
 // Acquire allocates the earliest-available server for duration s starting
 // no earlier than now and returns the completion time.
+//
+//piranha:hotpath
 func (p *Pool) Acquire(now Time, s Time) (done Time) {
 	// Find the server that frees up first.
 	best := 0
@@ -119,18 +121,20 @@ func (p *Pool) Acquire(now Time, s Time) (done Time) {
 }
 
 // Reserve claims the earliest-available server starting no earlier than
-// now, returning the start time and a release function the caller invokes
-// with the actual end time once the work's duration is known. Useful for
+// now and returns the hold on it; the caller releases the hold with the
+// actual end time once the work's duration is known. Useful for
 // holdings whose length depends on downstream events (e.g. a TSRF entry
 // held for a whole coherence transaction).
-func (p *Pool) Reserve(now Time) (start Time, release func(end Time)) {
+//
+//piranha:hotpath
+func (p *Pool) Reserve(now Time) Hold {
 	best := 0
 	for i := 1; i < len(p.free); i++ {
 		if p.free[i] < p.free[best] {
 			best = i
 		}
 	}
-	start = now
+	start := now
 	if p.free[best] > start {
 		start = p.free[best]
 	}
@@ -143,19 +147,42 @@ func (p *Pool) Reserve(now Time) (start Time, release func(end Time)) {
 	// Mark the server busy indefinitely until released.
 	p.free[best] = start + reservedMark // placeholder; release overwrites
 	p.heldSince[best] = start + 1       // +1 so a t=0 reservation is visible
-	i, g := best, p.gen[best]
-	return start, func(end Time) {
-		if p.gen[i] != g {
-			return // RecoverStale already reclaimed this reservation
-		}
-		if end < start {
-			end = start
-		}
-		p.BusyTime += end - start
-		p.free[i] = end
-		p.heldSince[i] = 0
-		p.gen[i]++
+	return Hold{pool: p, server: int32(best), gen: p.gen[best], start: start}
+}
+
+// Hold is one open reservation of a Pool server, returned by Reserve.
+// It is a value: copying it copies the claim, and releasing any copy
+// releases the server once. The zero Hold holds nothing.
+type Hold struct {
+	pool   *Pool
+	server int32
+	gen    uint32 // the server's reservation epoch at Reserve
+	start  Time
+}
+
+// Held reports whether h came from Reserve (the zero Hold did not).
+func (h Hold) Held() bool { return h.pool != nil }
+
+// Start returns when the reservation began.
+func (h Hold) Start() Time { return h.start }
+
+// Release frees the server at end, charging it busy from the start. A
+// release after RecoverStale reclaimed the server (its generation has
+// moved on), a second release, or releasing the zero Hold is a no-op.
+//
+//piranha:hotpath
+func (h Hold) Release(end Time) {
+	p := h.pool
+	if p == nil || p.gen[h.server] != h.gen {
+		return // RecoverStale already reclaimed this reservation
 	}
+	if end < h.start {
+		end = h.start
+	}
+	p.BusyTime += end - h.start
+	p.free[h.server] = end
+	p.heldSince[h.server] = 0
+	p.gen[h.server]++
 }
 
 // reservedMark flags a server under an open-ended reservation. It is far
@@ -179,7 +206,7 @@ func (p *Pool) RecoverStale(now, timeout Time) int {
 			p.BusyTime += now - (h - 1)
 			p.free[i] = now
 			p.heldSince[i] = 0
-			p.gen[i]++ // invalidate the outstanding release closure
+			p.gen[i]++ // invalidate the outstanding Hold
 			p.Recovered++
 			n++
 		}

@@ -86,6 +86,9 @@ type Zipf struct {
 	zetan float64
 	eta   float64
 	theta float64
+	// second is 1 + 0.5^theta, the scaled CDF bound below which a
+	// sample is rank 1, kept so Next makes no math.Pow call for it.
+	second float64
 }
 
 // NewZipf prepares a Zipf sampler over [0, n) with skew theta.
@@ -93,7 +96,7 @@ func NewZipf(n int, theta float64) *Zipf {
 	if n < 1 {
 		n = 1
 	}
-	z := &Zipf{n: n, theta: theta}
+	z := &Zipf{n: n, theta: theta, second: 1 + pow(0.5, theta)}
 	for i := 1; i <= n; i++ {
 		z.zetan += 1 / pow(float64(i), theta)
 	}
@@ -110,7 +113,7 @@ func (z *Zipf) Next(r *RNG) int {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+pow(0.5, z.theta) {
+	if uz < z.second {
 		return 1
 	}
 	v := int(float64(z.n) * pow(z.eta*u-z.eta+1, z.alpha))

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -223,6 +224,49 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
+// refZipfNext is Zipf.Next as it read before the rank-1 bound moved
+// into NewZipf: it recomputes 1+0.5^theta on every sample.
+func refZipfNext(z *Zipf, r *RNG) int {
+	u := r.Float64()
+	uz := u * z.zetan
+	if uz < 1 {
+		return 0
+	}
+	if uz < 1+math.Pow(0.5, z.theta) {
+		return 1
+	}
+	v := int(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+	if v >= z.n {
+		v = z.n - 1
+	}
+	if v < 0 {
+		v = 0
+	}
+	return v
+}
+
+// TestZipfMatchesRecomputingReference pins that hoisting the rank-1
+// bound changed no sample: 10^5 draws per skew equal the reference's.
+func TestZipfMatchesRecomputingReference(t *testing.T) {
+	for _, theta := range []float64{0, 0.5, 0.99, 1.2} {
+		z := NewZipf(4096, theta)
+		r, ref := NewRNG(17), NewRNG(17)
+		ones := 0
+		for i := 0; i < 100000; i++ {
+			got, want := z.Next(r), refZipfNext(z, ref)
+			if got != want {
+				t.Fatalf("theta %v draw %d: %d, reference %d", theta, i, got, want)
+			}
+			if got == 1 {
+				ones++
+			}
+		}
+		if ones == 0 {
+			t.Fatalf("theta %v: rank 1 never drawn; the bound went untested", theta)
+		}
+	}
+}
+
 func BenchmarkEngine(b *testing.B) {
 	e := NewEngine()
 	var chain func()
@@ -240,18 +284,18 @@ func BenchmarkEngine(b *testing.B) {
 
 func TestPoolReserveRelease(t *testing.T) {
 	p := NewPool("tsrf", 2)
-	s1, rel1 := p.Reserve(0)
-	s2, _ := p.Reserve(0)
-	if s1 != 0 || s2 != 0 {
-		t.Fatalf("starts %d %d", s1, s2)
+	h1 := p.Reserve(0)
+	h2 := p.Reserve(0)
+	if h1.Start() != 0 || h2.Start() != 0 {
+		t.Fatalf("starts %d %d", h1.Start(), h2.Start())
 	}
 	// Third reservation waits until a release.
-	rel1(100)
-	s3, rel3 := p.Reserve(10)
-	if s3 != 100 {
-		t.Fatalf("third reservation starts at %d, want 100", s3)
+	h1.Release(100)
+	h3 := p.Reserve(10)
+	if h3.Start() != 100 {
+		t.Fatalf("third reservation starts at %d, want 100", h3.Start())
 	}
-	rel3(200)
+	h3.Release(200)
 	if p.InUse(250) != 1 {
 		t.Fatalf("InUse(250) = %d, want 1 (the unreleased one)", p.InUse(250))
 	}
@@ -260,8 +304,7 @@ func TestPoolReserveRelease(t *testing.T) {
 func TestPoolRecoverStale(t *testing.T) {
 	p := NewPool("tsrf", 2)
 	p.Reserve(0) // never released: a lost transaction
-	_, rel := p.Reserve(0)
-	rel(50)
+	p.Reserve(0).Release(50)
 	// Before the timeout expires nothing is recovered.
 	if n := p.RecoverStale(100, 200); n != 0 {
 		t.Fatalf("premature recovery of %d entries", n)
@@ -270,7 +313,31 @@ func TestPoolRecoverStale(t *testing.T) {
 		t.Fatalf("recovered %d entries, want 1", n)
 	}
 	// The freed entry is reusable immediately.
-	if s, _ := p.Reserve(1000); s != 1000 {
+	if s := p.Reserve(1000).Start(); s != 1000 {
 		t.Fatalf("recovered entry not reusable: start %d", s)
+	}
+}
+
+// TestPoolReserveReleaseAllocsNothing pins the value-typed Hold: taking
+// and releasing a TSRF-style reservation allocates nothing.
+func TestPoolReserveReleaseAllocsNothing(t *testing.T) {
+	p := NewPool("tsrf", 16)
+	now := Time(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		h := p.Reserve(now)
+		now += 10
+		h.Release(now)
+	})
+	if allocs != 0 {
+		t.Fatalf("Reserve+Release allocates %.1f/op", allocs)
+	}
+}
+
+// BenchmarkPoolReserveRelease times one reservation and its release.
+func BenchmarkPoolReserveRelease(b *testing.B) {
+	p := NewPool("tsrf", 16)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.Reserve(Time(i)).Release(Time(i) + 5)
 	}
 }

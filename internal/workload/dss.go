@@ -55,6 +55,8 @@ type DSS struct {
 	Lay     Layout
 	nProcs  int
 	spawned int
+	// bufs recycles the processes' op buffers.
+	bufs opBuffers
 }
 
 // NewDSS prepares the parallel query for nProcs slaves.
@@ -90,20 +92,11 @@ type DSSProc struct {
 	start, end uint64
 	pos        uint64
 	loopPos    int
-	queue      []cpu.Op
-	head       int
+	queue      opQueue
 }
 
 // Next implements kernel.Stream.
-func (p *DSSProc) Next(r *sim.RNG) cpu.Op {
-	if p.head >= len(p.queue) {
-		p.queue = p.generate(r, p.queue[:0])
-		p.head = 0
-	}
-	op := p.queue[p.head]
-	p.head++
-	return op
-}
+func (p *DSSProc) Next(r *sim.RNG) cpu.Op { return p.queue.next(&p.d.bufs, r, p.generate) }
 
 // generate emits one chunk group ending in a throughput marker.
 func (p *DSSProc) generate(r *sim.RNG, ops []cpu.Op) []cpu.Op {

@@ -92,6 +92,8 @@ type OLTP struct {
 	// NewZipf is O(region lines), and a 1024-node machine constructs
 	// thousands of server processes.
 	metaZipf, hotZipf, kbssZipf, lockZipf *sim.Zipf
+	// bufs recycles the processes' op buffers.
+	bufs opBuffers
 }
 
 // NewOLTP prepares the workload for nProcs server processes.
@@ -116,7 +118,8 @@ func (o *OLTP) NewProcess() *OLTPProc {
 // Process builds the id'th server process's op stream without touching
 // shared workload state: everything it reads (layout, config, hot-set
 // bounds, the shared Zipf samplers) is immutable after NewOLTP, so
-// distinct ids may be constructed concurrently.
+// distinct ids may be constructed concurrently. (Running the streams
+// is serial: they share the generator's op buffers.)
 // Construction is a pure function of id: Process(i) for i = 0..n-1 in
 // any order yields exactly the processes a serial NewProcess loop would.
 func (o *OLTP) Process(id int) *OLTPProc {
@@ -160,22 +163,13 @@ type OLTPProc struct {
 	histCur uint64
 	logCur  uint64
 
-	queue []cpu.Op
-	head  int
+	queue opQueue
 	// Tx counts generated transactions.
 	Tx uint64
 }
 
 // Next implements kernel.Stream.
-func (p *OLTPProc) Next(r *sim.RNG) cpu.Op {
-	if p.head >= len(p.queue) {
-		p.queue = p.generate(r, p.queue[:0])
-		p.head = 0
-	}
-	op := p.queue[p.head]
-	p.head++
-	return op
-}
+func (p *OLTPProc) Next(r *sim.RNG) cpu.Op { return p.queue.next(&p.o.bufs, r, p.generate) }
 
 // load/store/hint helpers.
 func ld(a cache.Addr, dep bool) cpu.Op { return cpu.Op{Kind: cpu.KLoad, Addr: a, Dep: dep} }
