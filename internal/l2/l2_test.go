@@ -605,3 +605,38 @@ func TestInfoSlotReuseUnderOwnershipReplacement(t *testing.T) {
 	}
 	r.check(t)
 }
+
+// TestHasLineAllocsNothing pins the dense line table's lookup: probing a
+// warmed L2, half the probes resident and half not, allocates nothing.
+// One counted run covers 50 sweeps, so AllocsPerRun's integer average
+// cannot round a stray allocation away.
+func TestHasLineAllocsNothing(t *testing.T) {
+	r := newRig(t)
+	const lines = 4096
+	now := sim.Time(0)
+	for i := 0; i < lines; i++ {
+		now += 50 * sim.Nanosecond
+		r.l2.Access(now, r.d[i%8], Read, cache.Addr(i)*cache.LineBytes)
+	}
+	probes := make([]cache.LineAddr, 2*lines)
+	for i := range probes {
+		probes[i] = cache.LineAddr(i)
+	}
+	hits := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		for k := 0; k < 50; k++ {
+			hits = 0
+			for _, l := range probes {
+				if r.l2.HasLine(l) {
+					hits++
+				}
+			}
+		}
+	})
+	if hits == 0 || hits == len(probes) {
+		t.Fatalf("degenerate probe mix (%d/%d hits)", hits, len(probes))
+	}
+	if allocs != 0 {
+		t.Fatalf("50 x %d HasLine probes allocate %.0f objects", len(probes), allocs)
+	}
+}

@@ -321,3 +321,36 @@ func BenchmarkTorusUniformTraffic(b *testing.B) {
 	}
 	n.Run(1 << 30)
 }
+
+// TestHopBenchRoundAllocsNothing pins the router's steady-state delivery
+// path: once 512 warm rounds have grown the arrival wheel and the output
+// queues to their high-water marks (adaptive routing varies each round's
+// arrival pattern), re-delivering the recycled batch allocates nothing.
+func TestHopBenchRoundAllocsNothing(t *testing.T) {
+	hb, err := NewHopBench(DefaultConfig(), Ring{N: 8}, 1, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := func() {
+		n, err := hb.Round(1 << 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != hb.Packets() {
+			t.Fatalf("delivered %d packets, want %d", n, hb.Packets())
+		}
+	}
+	for i := 0; i < 512; i++ {
+		round()
+	}
+	// One counted run of 50 rounds: the integer average of AllocsPerRun
+	// cannot round a stray allocation away.
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 50; i++ {
+			round()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("50 rounds of %d packets allocate %.0f objects", hb.Packets(), allocs)
+	}
+}

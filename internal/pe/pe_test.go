@@ -463,3 +463,24 @@ func TestReachingAHolePanics(t *testing.T) {
 	}()
 	f.Proto(1).Fetch(0, l2.ReadEx, line)
 }
+
+// TestDirectoryDispatchAllocsNothing pins the directory half of a
+// home-engine dispatch (decode, add sharer, re-encode, store): on a
+// table warmed by SeedDirectory every store overwrites, and 50 passes
+// over 4096 lines allocate nothing.
+func TestDirectoryDispatchAllocsNothing(t *testing.T) {
+	f := NewFabric(DefaultConfig(8), NewFlatNetworkN(25*sim.Nanosecond, 8))
+	lines := f.SeedDirectory(4096)
+	touched := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		for k := 0; k < 50; k++ {
+			touched = f.DirectoryDispatch(lines)
+		}
+	})
+	if touched != len(lines) {
+		t.Fatalf("touched %d entries, want %d", touched, len(lines))
+	}
+	if allocs != 0 {
+		t.Fatalf("50 x %d dispatches allocate %.0f objects", len(lines), allocs)
+	}
+}

@@ -319,17 +319,44 @@ func TestPoolRecoverStale(t *testing.T) {
 }
 
 // TestPoolReserveReleaseAllocsNothing pins the value-typed Hold: taking
-// and releasing a TSRF-style reservation allocates nothing.
+// and releasing a TSRF-style reservation allocates nothing. One counted
+// run covers 1000 reservations, so the integer average cannot round a
+// stray allocation away.
 func TestPoolReserveReleaseAllocsNothing(t *testing.T) {
 	p := NewPool("tsrf", 16)
 	now := Time(0)
-	allocs := testing.AllocsPerRun(1000, func() {
-		h := p.Reserve(now)
-		now += 10
-		h.Release(now)
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1000; i++ {
+			h := p.Reserve(now)
+			now += 10
+			h.Release(now)
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Reserve+Release allocates %.1f/op", allocs)
+		t.Fatalf("1000 Reserve+Release pairs allocate %.0f objects", allocs)
+	}
+}
+
+// TestEngineStepAllocsNothing pins the engine's steady state: a
+// self-rescheduling event chain (After from inside the running event,
+// then Step) reuses its heap slot and allocates nothing. One counted run
+// covers 10000 steps, so the integer average cannot round a stray
+// allocation away.
+func TestEngineStepAllocsNothing(t *testing.T) {
+	e := NewEngine()
+	var chain func()
+	chain = func() { e.After(1, chain) }
+	e.Schedule(0, chain)
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 10000; i++ {
+			e.Step()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("10000 After+Step cycles allocate %.0f objects", allocs)
+	}
+	if e.Executed() != 20000 {
+		t.Fatalf("executed %d events, want 20000", e.Executed())
 	}
 }
 

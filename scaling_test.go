@@ -1,6 +1,8 @@
 package piranha
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"piranha/internal/core"
@@ -50,13 +52,23 @@ func TestScaleOut256ByteIdentity(t *testing.T) {
 }
 
 // TestScalingSweepDeterministic runs a small sweep twice and requires
-// identical curves — the property that lets cmd/piranha's scaling mode
-// and the CI smoke job cmp whole output files.
+// identical JSON. Every point embeds its full Result, so this is the
+// same-seed rerun identity of the 8- and 32-node runs, and it is the
+// property that lets cmd/piranha's scaling mode and the CI smoke job
+// cmp whole output files.
 func TestScalingSweepDeterministic(t *testing.T) {
 	cfg := ScalingSweep{Nodes: []int{8, 32}, PerNode: Scale{Warm: 1, Measure: 2}, Seed: 5}
 	a := RunScalingSweep(OLTP(), cfg)
 	b := RunScalingSweep(OLTP(), cfg)
-	if a.String() != b.String() {
+	ja, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ja, jb) {
 		t.Fatalf("scaling sweep not deterministic:\n%s\n---\n%s", a, b)
 	}
 	if len(a.Points) != 2 || a.Points[0].Nodes != 8 || a.Points[1].Nodes != 32 {
@@ -93,4 +105,37 @@ func TestNewSystemErrBadTopology(t *testing.T) {
 		}
 	}()
 	core.NewSystem(bad)
+}
+
+// TestScaleOutActiveWork is the O(active) contract in simulated work:
+// with a fixed per-node transaction budget, the events the engine runs
+// per simulated transaction may grow with the machine only through the
+// protocol (more remote homes, wider sharer sets), not through per-node
+// scans. Measured with seed 7: 486, 523 and 559 events per transaction
+// at 8, 32 and 64 nodes (656 at 256, 783 at 1024). An extra event per
+// node per transaction would put the 64-node figure at 1.26x the
+// 8-node one, so the bound sits between that and today's 1.15x.
+func TestScaleOutActiveWork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("64-node run in -short mode")
+	}
+	per := DefaultPerNodeScale
+	eventsPerTx := func(n int) float64 {
+		res, sys := core.RunSystem(Experiment{
+			Sys:       ScaleOut(n, 1),
+			Work:      OLTP(),
+			WarmTx:    per.Warm * uint64(n),
+			MeasureTx: per.Measure * uint64(n),
+			Seed:      7,
+		})
+		if res.Tx != per.Measure*uint64(n) {
+			t.Fatalf("%d nodes: measured %d transactions, want %d", n, res.Tx, per.Measure*uint64(n))
+		}
+		return float64(sys.Engine.Executed()) / float64((per.Warm+per.Measure)*uint64(n))
+	}
+	e8, e64 := eventsPerTx(8), eventsPerTx(64)
+	t.Logf("events per simulated transaction: 8 nodes %.1f, 64 nodes %.1f (%.3fx)", e8, e64, e64/e8)
+	if e64 > 1.2*e8 {
+		t.Fatalf("64-node run executes %.1f events per transaction, more than 1.2x the 8-node %.1f", e64, e8)
+	}
 }

@@ -9,35 +9,48 @@ import (
 	"piranha/internal/workload"
 )
 
-// TestLoadSweepHockeyStick runs a three-point sweep bracketing capacity
-// on P4/OLTP: the overloaded point must be detected as saturated and
-// its tail latency must dominate the light point's.
+// TestLoadSweepHockeyStick runs sweeps bracketing capacity: the light
+// point must keep up, the overloaded point must be detected as saturated,
+// and its tail latency must dominate the light point's. The P1/P8 OLTP
+// and P8 DSS curves stop just past capacity, at 1.2x.
 func TestLoadSweepHockeyStick(t *testing.T) {
-	s := RunLoadSweep(P4(), OLTP(), LoadSweep{
-		Multipliers: []float64{0.3, 0.7, 1.4},
-		Scale:       tiny,
-		Seed:        7,
-	})
-	if s.CapacityTxS <= 0 {
-		t.Fatalf("calibration produced capacity %v", s.CapacityTxS)
+	edge := LoadSweep{Multipliers: []float64{0.3, 0.7, 0.95, 1.2}, Scale: Scale{Warm: 20, Measure: 50}}
+	cases := []struct {
+		name string
+		sys  SystemConfig
+		w    Workload
+		cfg  LoadSweep
+	}{
+		{"oltp/p4", P4(), OLTP(), LoadSweep{Multipliers: []float64{0.3, 0.7, 1.4}, Scale: tiny, Seed: 7}},
+		{"oltp/p1", P1(), OLTP(), edge},
+		{"oltp/p8", P8(), OLTP(), edge},
+		{"dss/p8", P8(), DSS(), edge},
 	}
-	if len(s.Points) != 3 {
-		t.Fatalf("points %d", len(s.Points))
-	}
-	if s.Saturation < 0 {
-		t.Fatalf("1.4x capacity not detected as saturated:\n%s", s)
-	}
-	light, over := s.Points[0], s.Points[2]
-	if over.P99Ns <= light.P99Ns {
-		t.Fatalf("p99 did not grow past capacity: %v vs %v", over.P99Ns, light.P99Ns)
-	}
-	if light.AchievedTxS < 0.9*light.OfferedTxS {
-		t.Fatalf("light point should keep up: offered %v achieved %v",
-			light.OfferedTxS, light.AchievedTxS)
-	}
-	out := s.String()
-	if !strings.Contains(out, "saturates at") || !strings.Contains(out, "p99 vs load") {
-		t.Fatalf("render:\n%s", out)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := RunLoadSweep(c.sys, c.w, c.cfg)
+			if s.CapacityTxS <= 0 {
+				t.Fatalf("calibration produced capacity %v", s.CapacityTxS)
+			}
+			if len(s.Points) != len(c.cfg.Multipliers) {
+				t.Fatalf("points %d, want %d", len(s.Points), len(c.cfg.Multipliers))
+			}
+			if s.Saturation < 0 {
+				t.Fatalf("%gx capacity not detected as saturated:\n%s", c.cfg.Multipliers[len(s.Points)-1], s)
+			}
+			light, over := s.Points[0], s.Points[len(s.Points)-1]
+			if over.P99Ns <= light.P99Ns {
+				t.Fatalf("p99 did not grow past capacity: %v vs %v", over.P99Ns, light.P99Ns)
+			}
+			if light.AchievedTxS < 0.9*light.OfferedTxS {
+				t.Fatalf("light point should keep up: offered %v achieved %v",
+					light.OfferedTxS, light.AchievedTxS)
+			}
+			out := s.String()
+			if !strings.Contains(out, "saturates at") || !strings.Contains(out, "p99 vs load") {
+				t.Fatalf("render:\n%s", out)
+			}
+		})
 	}
 }
 
