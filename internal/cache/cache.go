@@ -236,15 +236,14 @@ func (c *Cache) Downgrade(l LineAddr) MESI {
 	return Invalid
 }
 
-// Contents returns all valid lines (for invariant checks in tests).
-func (c *Cache) Contents() []Line {
-	var out []Line
+// Range calls f with each valid line in array order until f returns
+// false.
+func (c *Cache) Range(f func(Line) bool) {
 	for _, ln := range c.lines {
-		if ln.State.Valid() {
-			out = append(out, ln)
+		if ln.State.Valid() && !f(ln) {
+			return
 		}
 	}
-	return out
 }
 
 // CountValid returns the number of valid lines.

@@ -161,7 +161,7 @@ func TestCapacityInvariant(t *testing.T) {
 		}
 	}
 	seen := map[LineAddr]bool{}
-	for _, ln := range c.Contents() {
+	for _, ln := range contents(c) {
 		if seen[ln.Tag] {
 			t.Fatalf("line %d present twice", ln.Tag)
 		}
@@ -205,4 +205,14 @@ func BenchmarkProbeHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Probe(42)
 	}
+}
+
+// contents returns the cache's valid lines in array order.
+func contents(c *Cache) []Line {
+	var out []Line
+	c.Range(func(ln Line) bool {
+		out = append(out, ln)
+		return true
+	})
+	return out
 }

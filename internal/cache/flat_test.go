@@ -226,7 +226,7 @@ func TestFlatCacheMatchesNested(t *testing.T) {
 			if c.Evictions == 0 || c.Hits == 0 {
 				t.Fatalf("stream too gentle: %d hits, %d evictions", c.Hits, c.Evictions)
 			}
-			if !reflect.DeepEqual(c.Contents(), ref.Contents()) {
+			if !reflect.DeepEqual(contents(c), ref.Contents()) {
 				t.Fatal("Contents differ")
 			}
 		})

@@ -280,25 +280,3 @@ func SetExclusive(e Entry, n NodeID) Entry {
 
 // Clear returns the uncached entry.
 func Clear() Entry { return Entry{State: Uncached} }
-
-// RemoveSharer returns the entry with node n removed. Removing from coarse
-// form is conservative (the hardware cannot clear a group bit unless the
-// whole group is invalidated), so like real coarse vectors it may keep n's
-// group marked if the representation cannot prove the group is empty; the
-// decoded sharer set therefore remains a superset of the true sharers.
-func RemoveSharer(cfg Config, e Entry, n NodeID) Entry {
-	switch e.State {
-	case Exclusive:
-		if e.Owner == n {
-			return Clear()
-		}
-	case Shared:
-		e.Sharers.Remove(n)
-		if e.Sharers.Empty() {
-			return Clear()
-		}
-	case SharedCoarse:
-		// Conservative: only the full-invalidate path clears coarse bits.
-	}
-	return e
-}

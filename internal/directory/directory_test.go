@@ -151,26 +151,6 @@ func TestAddSharerToExclusive(t *testing.T) {
 	}
 }
 
-func TestRemoveSharer(t *testing.T) {
-	e := Clear()
-	e = AddSharer(cfg1k, e, 1)
-	e = AddSharer(cfg1k, e, 2)
-	e = RemoveSharer(cfg1k, e, 1)
-	if e.State != Shared || e.Sharers.Has(1) || !e.Sharers.Has(2) {
-		t.Fatalf("remove: %+v", e)
-	}
-	e = RemoveSharer(cfg1k, e, 2)
-	if e.State != Uncached {
-		t.Fatalf("last removal should clear, got %v", e.State)
-	}
-	// Removing the exclusive owner clears.
-	e = SetExclusive(Entry{}, 7)
-	e = RemoveSharer(cfg1k, e, 7)
-	if e.State != Uncached {
-		t.Fatalf("owner removal should clear, got %v", e.State)
-	}
-}
-
 func TestGroupSizeSmallSystems(t *testing.T) {
 	for _, tc := range []struct{ nodes, want int }{
 		{1, 1}, {2, 1}, {42, 1}, {43, 2}, {84, 2}, {1024, 25},

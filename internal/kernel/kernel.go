@@ -339,4 +339,3 @@ func (k *Kernel) AliveCPUs() int {
 	}
 	return n
 }
-

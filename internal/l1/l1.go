@@ -146,8 +146,9 @@ func (c *Cache) Stats() (hits, misses, evictions uint64) {
 	return c.arr.Hits, c.arr.Misses, c.arr.Evictions
 }
 
-// Contents returns the valid lines (tests and duplicate-tag invariants).
-func (c *Cache) Contents() []cache.Line { return c.arr.Contents() }
+// Range calls f with each resident line until f returns false (the
+// duplicate-tag invariant walk).
+func (c *Cache) Range(f func(cache.Line) bool) { c.arr.Range(f) }
 
 // CountValid returns the number of resident lines.
 func (c *Cache) CountValid() int { return c.arr.CountValid() }

@@ -2,11 +2,11 @@ package l2
 
 import (
 	"fmt"
+	"math/bits"
 
 	"piranha/internal/cache"
 	"piranha/internal/l1"
 	"piranha/internal/sim"
-	"piranha/internal/sortutil"
 	"piranha/internal/stats"
 )
 
@@ -206,84 +206,112 @@ func (l *L2) QueueStats() (pendWait, ctlWait, tsrfWait sim.Time, conflicts uint6
 //     it at all and the L2 array does not hold it (non-inclusion of
 //     exclusive lines).
 //  4. Line info exists exactly for lines resident somewhere on chip.
+//
+// The check walks the L1 arrays and each bank's tracked lines in place:
+// every L1-held line must be tracked with that L1's bit set, and every
+// set bit must name an L1 that holds the line, so the two walks together
+// prove the masks exact without gathering L1 contents. When several
+// violations exist, the one on the lowest line address is reported (the
+// L1 walk's before the bank walk's on the same line), so every run
+// reports the same one.
 func (l *L2) CheckInvariants() error {
-	// Gather actual L1 residency.
-	type res struct {
-		mask   uint32
-		excl   int // count of E/M holders
-		states []cache.MESI
-	}
-	actual := make(map[cache.LineAddr]*res)
+	var v violation
 	for _, c := range l.l1s {
-		for _, ln := range c.Contents() {
-			r := actual[ln.Tag]
-			if r == nil {
-				r = &res{}
-				actual[ln.Tag] = r
+		c.Range(func(ln cache.Line) bool {
+			if line := ln.Tag; v.below(line) {
+				info := l.BankOf(line).info.Ref(line)
+				switch {
+				case info == nil:
+					v.note(line, fmt.Errorf("line %#x held by L1s %#x but untracked", line, l.holders(line)))
+				case info.sharers&(1<<uint(c.ID)) == 0:
+					v.note(line, fmt.Errorf("line %#x dup tags %#x, actual %#x", line, info.sharers, l.holders(line)))
+				}
 			}
-			r.mask |= 1 << uint(c.ID)
-			r.states = append(r.states, ln.State)
-			if ln.State == cache.Exclusive || ln.State == cache.Modified {
-				r.excl++
-			}
-		}
+			return true
+		})
 	}
-	// Every actual line must be tracked with the exact mask. Lines are
-	// visited in address order so that, when several invariants are broken
-	// at once, the same violation is reported on every run.
-	for _, line := range sortutil.Keys(actual) {
-		r := actual[line]
-		info := l.BankOf(line).info.Ref(line)
-		if info == nil {
-			return fmt.Errorf("line %#x held by L1s %#x but untracked", line, r.mask)
-		}
-		if info.sharers != r.mask {
-			return fmt.Errorf("line %#x dup tags %#x, actual %#x", line, info.sharers, r.mask)
-		}
-		if r.excl > 1 {
-			return fmt.Errorf("line %#x exclusive in %d L1s", line, r.excl)
-		}
-		if r.excl == 1 && len(r.states) > 1 {
-			return fmt.Errorf("line %#x exclusive alongside sharers", line)
-		}
-		inL2 := l.BankOf(line).arr.Lookup(line) != nil
-		if l.cfg.Inclusive {
-			// Inclusion invariant: every L1-held line has an L2 tag.
-			if !inL2 {
-				return fmt.Errorf("line %#x held by L1s but absent from the inclusive L2", line)
-			}
-		} else if r.excl == 1 && inL2 {
-			return fmt.Errorf("line %#x exclusive in an L1 and valid in L2", line)
-		}
-	}
-	// Every tracked line must be resident and correctly owned.
 	for _, b := range l.banks {
-		for _, line := range b.info.Keys() {
-			info := b.info.Ref(line)
-			inL2 := b.arr.Lookup(line) != nil
-			r := actual[line]
-			var mask uint32
-			if r != nil {
-				mask = r.mask
-			}
-			if info.sharers != mask {
-				return fmt.Errorf("line %#x dup tags %#x, actual %#x", line, info.sharers, mask)
-			}
-			if !inL2 && mask == 0 {
-				return fmt.Errorf("line %#x tracked but resident nowhere", line)
-			}
-			if info.owner == ownerL2 {
-				if !inL2 {
-					return fmt.Errorf("line %#x owned by L2 but not in L2", line)
-				}
-			} else {
-				if mask&(1<<uint(info.owner)) == 0 {
-					return fmt.Errorf("line %#x owner L1 %d does not hold it", line, info.owner)
-				}
-				if inL2 && !l.cfg.Inclusive {
-					return fmt.Errorf("line %#x in L2 but owned by L1 %d", line, info.owner)
+		b.info.Range(func(line cache.LineAddr, info *lineInfo) bool {
+			if v.below(line) {
+				if err := l.checkTracked(b, line, info); err != nil {
+					v.note(line, err)
 				}
 			}
+			return true
+		})
+	}
+	return v.err
+}
+
+// violation keeps the invariant violation on the lowest line address.
+type violation struct {
+	line cache.LineAddr
+	err  error
+}
+
+// below reports whether a violation on line would be the first so far.
+func (v *violation) below(line cache.LineAddr) bool { return v.err == nil || line < v.line }
+
+func (v *violation) note(line cache.LineAddr, err error) {
+	if v.below(line) {
+		v.line, v.err = line, err
+	}
+}
+
+// holders is the mask of L1s that hold the line.
+func (l *L2) holders(line cache.LineAddr) uint32 {
+	var mask uint32
+	for _, c := range l.l1s {
+		if c.State(line).Valid() {
+			mask |= 1 << uint(c.ID)
+		}
+	}
+	return mask
+}
+
+// checkTracked checks one tracked line: every L1 its dup tags name holds
+// it (the L1 walk proved the converse), at most one holds it in E or M
+// and then alone, the L2 array agrees with the inclusion policy, the
+// line is resident somewhere, and its owner holds it.
+func (l *L2) checkTracked(b *Bank, line cache.LineAddr, info *lineInfo) error {
+	mask := info.sharers
+	holders, excl := 0, 0
+	for m := mask; m != 0; m &= m - 1 {
+		st := l.l1s[bits.TrailingZeros32(m)].State(line)
+		if !st.Valid() {
+			return fmt.Errorf("line %#x dup tags %#x, actual %#x", line, mask, l.holders(line))
+		}
+		holders++
+		if st.CanWrite() {
+			excl++
+		}
+	}
+	if excl > 1 {
+		return fmt.Errorf("line %#x exclusive in %d L1s", line, excl)
+	}
+	if excl == 1 && holders > 1 {
+		return fmt.Errorf("line %#x exclusive alongside sharers", line)
+	}
+	inL2 := b.arr.Lookup(line) != nil
+	switch {
+	case l.cfg.Inclusive && mask != 0 && !inL2:
+		// Inclusion invariant: every L1-held line has an L2 tag.
+		return fmt.Errorf("line %#x held by L1s but absent from the inclusive L2", line)
+	case !l.cfg.Inclusive && excl == 1 && inL2:
+		return fmt.Errorf("line %#x exclusive in an L1 and valid in L2", line)
+	case !inL2 && mask == 0:
+		return fmt.Errorf("line %#x tracked but resident nowhere", line)
+	}
+	if info.owner == ownerL2 {
+		if !inL2 {
+			return fmt.Errorf("line %#x owned by L2 but not in L2", line)
+		}
+	} else {
+		if mask&(1<<uint(info.owner)) == 0 {
+			return fmt.Errorf("line %#x owner L1 %d does not hold it", line, info.owner)
+		}
+		if inL2 && !l.cfg.Inclusive {
+			return fmt.Errorf("line %#x in L2 but owned by L1 %d", line, info.owner)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package l2
 
 import (
+	"strings"
 	"testing"
 
 	"piranha/internal/cache"
@@ -638,5 +639,81 @@ func TestHasLineAllocsNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("50 x %d HasLine probes allocate %.0f objects", len(probes), allocs)
+	}
+}
+
+// TestCheckInvariantsCatchesEachViolation breaks each structural
+// invariant in turn on a consistent chip and requires CheckInvariants
+// to name it.
+func TestCheckInvariantsCatchesEachViolation(t *testing.T) {
+	a, b := cache.Addr(0x4000).Line(), cache.Addr(0x8040).Line()
+	// a: exclusive in d[0]; b: shared by d[0] and d[1], owned by d[1].
+	setup := func(r *rig) {
+		r.l2.Access(0, r.d[0], Read, a.Addr())
+		r.l2.Access(1000, r.d[0], Read, b.Addr())
+		r.l2.Access(2000, r.d[1], Read, b.Addr())
+		r.check(t)
+	}
+	info := func(r *rig, line cache.LineAddr) *lineInfo { return r.l2.BankOf(line).info.Ref(line) }
+	for _, tc := range []struct {
+		name      string
+		inclusive bool
+		corrupt   func(r *rig)
+		want      string
+	}{
+		// 1. Duplicate tags are exact.
+		{"dup tag names a non-holder", false, func(r *rig) { info(r, a).sharers |= 1 << 5 }, "dup tags 0x21, actual 0x1"},
+		{"holder missing from dup tags", false, func(r *rig) { r.d[2].Fill(b, cache.Shared) }, "dup tags 0x5, actual 0x15"},
+		// 2. Single ownership, and the owner holds a copy.
+		{"owner L1 does not hold", false, func(r *rig) { info(r, b).owner = 5 }, "owner L1 5 does not hold it"},
+		{"owned by L2 but not in L2", false, func(r *rig) { info(r, a).owner = ownerL2 }, "owned by L2 but not in L2"},
+		{"in L2 but owned by an L1", false, func(r *rig) { r.l2.BankOf(b).arr.Insert(b, cache.Shared) }, "in L2 but owned by L1 2"},
+		// 3. Exclusive copies are alone and not in a non-inclusive L2.
+		{"two exclusive L1s", false, func(r *rig) {
+			r.d[0].SetState(b, cache.Modified)
+			r.d[1].SetState(b, cache.Exclusive)
+		}, "exclusive in 2 L1s"},
+		{"exclusive alongside a sharer", false, func(r *rig) { r.d[1].SetState(b, cache.Modified) }, "exclusive alongside sharers"},
+		{"exclusive L1 line valid in L2", false, func(r *rig) { r.l2.BankOf(a).arr.Insert(a, cache.Shared) }, "exclusive in an L1 and valid in L2"},
+		{"inclusive L2 lost an L1 line", true, func(r *rig) { r.l2.BankOf(a).arr.Invalidate(a) }, "absent from the inclusive L2"},
+		// 4. Line info exists exactly for resident lines.
+		{"untracked L1 line", false, func(r *rig) { r.d[3].Fill(0x777, cache.Shared) }, "line 0x777 held by L1s 0x40 but untracked"},
+		{"tracked line resident nowhere", false, func(r *rig) {
+			r.l2.BankOf(0x555).info.Put(0x555, lineInfo{owner: ownerL2})
+		}, "line 0x555 tracked but resident nowhere"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t)
+			if tc.inclusive {
+				r = newInclusiveRig(t)
+			}
+			setup(r)
+			tc.corrupt(r)
+			err := r.l2.CheckInvariants()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("CheckInvariants() = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// With violations on several lines, the lowest line address is
+// reported, whichever walk finds it.
+func TestCheckInvariantsReportsLowestLine(t *testing.T) {
+	r := newRig(t)
+	for i, line := range []cache.LineAddr{0x900, 0x300, 0x600} {
+		r.l2.Access(sim.Time(i)*sim.Microsecond, r.d[0], Read, line.Addr())
+	}
+	r.check(t)
+	r.l2.BankOf(0x900).info.Ref(0x900).owner = 5 // bank walk
+	r.d[4].Fill(0x600, cache.Shared)             // L1 walk
+	want := "line 0x600 dup tags 0x1, actual 0x101"
+	if err := r.l2.CheckInvariants(); err == nil || err.Error() != want {
+		t.Fatalf("CheckInvariants() = %v, want %q", err, want)
+	}
+	r.l2.BankOf(0x300).info.Ref(0x300).sharers |= 1 << 9 // bank walk, lower
+	want = "line 0x300 dup tags 0x201, actual 0x1"
+	if err := r.l2.CheckInvariants(); err == nil || err.Error() != want {
+		t.Fatalf("CheckInvariants() = %v, want %q", err, want)
 	}
 }

@@ -152,14 +152,7 @@ func Check(table *protocol.Table, cfg Config) *Result {
 }
 
 func (e *explorer) run() {
-	init := state{}
-	bits, err := directory.Encode(e.cfg.dcfg, directory.Clear())
-	if err != nil {
-		e.result.Violations = append(e.result.Violations, Violation{
-			Invariant: InvCodec, Detail: err.Error()})
-		return
-	}
-	init.dir = bits
+	init := state{} // the directory starts uncached
 	e.states = append(e.states, record{st: init, parent: -1,
 		via: Step{Kind: "init", State: init.summary(e.cfg.Nodes, e.cfg.dcfg)}})
 	e.visited[init.key(e.cfg.Nodes)] = 0
@@ -245,17 +238,17 @@ func (e *explorer) expand(cur int32, depth int32) (enabled, stop bool) {
 // key- and guard-matching rule.
 func (e *explorer) deliver(cur int32, depth int32, dst int, m msg) (fired, delayed, stop bool) {
 	st := &e.states[cur].st
-	entry := directory.Decode(e.cfg.dcfg, st.dir)
+	entry := st.dir
 	line := st.nodes[dst].line
 	step := Step{Actor: dst, Kind: "deliver", Msg: m.String()}
 
 	for ri := range e.table.Rules {
 		r := e.table.Rules[ri]
-		if r.Msg != m.kind || !e.roleOK(r, dst) || !keyMatches(r, entry.State, line, m.req) {
+		if r.Msg != m.kind || !e.roleOK(r, dst) || !keyMatches(r, entry.State(), line, m.req) {
 			continue
 		}
 		probe := &interp{cfg: &e.cfg, st: st, rule: r, act: dst, m: &m,
-			entry: entry, oldOwner: entry.Owner,
+			entry: entry, oldOwner: entry.Owner(),
 			requester: receptionRequester(m), reqKind: m.req}
 		if !probe.guardHolds() {
 			continue
@@ -264,7 +257,7 @@ func (e *explorer) deliver(cur int32, depth int32, dst int, m msg) (fired, delay
 		next := st.clone()
 		next.chans[m.src][dst] = append([]msg(nil), next.chans[m.src][dst][1:]...)
 		in := &interp{cfg: &e.cfg, st: &next, rule: r, act: dst, m: &m,
-			entry: entry, oldOwner: entry.Owner,
+			entry: entry, oldOwner: entry.Owner(),
 			requester: receptionRequester(m), reqKind: m.req}
 		wasDelayed, err := in.run()
 		step.Rule = r.Name
@@ -287,14 +280,14 @@ func (e *explorer) deliver(cur int32, depth int32, dst int, m msg) (fired, delay
 	// bounce, which this protocol promises never to need.
 	step.Rule = "(none)"
 	step.State = st.summary(e.cfg.Nodes, e.cfg.dcfg)
-	if reason, ok := e.table.Unreachable(entry.State, line, m.kind, m.req); ok {
+	if reason, ok := e.table.Unreachable(entry.State(), line, m.kind, m.req); ok {
 		return false, false, e.reportErr(cur, depth+1, &violationErr{InvReachedHole,
 			fmt.Sprintf("declared-unreachable reception %v at node %d (dir=%v line=%v): %s",
-				m.kind, dst, entry.State, line, reason)}, step)
+				m.kind, dst, entry.State(), line, reason)}, step)
 	}
 	return false, false, e.reportErr(cur, depth+1, &violationErr{InvUnspecified,
 		fmt.Sprintf("no rule for %v at node %d (dir=%v line=%v req=%v) — a NAK would be required",
-			m.kind, dst, entry.State, line, m.req)}, step)
+			m.kind, dst, entry.State(), line, m.req)}, step)
 }
 
 // spontaneous fires one processor-side rule at a node if its key,
@@ -305,12 +298,12 @@ func (e *explorer) spontaneous(cur int32, depth int32, node int, r protocol.Rule
 	if consuming && int(st.ops) >= e.cfg.MaxOps {
 		return false, false
 	}
-	entry := directory.Decode(e.cfg.dcfg, st.dir)
-	if !e.roleOK(r, node) || !keyMatches(r, entry.State, st.nodes[node].line, r.Req) {
+	entry := st.dir
+	if !e.roleOK(r, node) || !keyMatches(r, entry.State(), st.nodes[node].line, r.Req) {
 		return false, false
 	}
 	probe := &interp{cfg: &e.cfg, st: st, rule: r, act: node, m: nil,
-		entry: entry, oldOwner: entry.Owner,
+		entry: entry, oldOwner: entry.Owner(),
 		requester: uint8(node), reqKind: r.Req}
 	if !probe.guardHolds() {
 		return false, false
@@ -320,7 +313,7 @@ func (e *explorer) spontaneous(cur int32, depth int32, node int, r protocol.Rule
 		next.ops++
 	}
 	in := &interp{cfg: &e.cfg, st: &next, rule: r, act: node, m: nil,
-		entry: entry, oldOwner: entry.Owner,
+		entry: entry, oldOwner: entry.Owner(),
 		requester: uint8(node), reqKind: r.Req}
 	_, err := in.run()
 	e.fires[r.Name]++

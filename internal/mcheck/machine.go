@@ -12,9 +12,11 @@
 // is atomic. Data is a version counter: every store increments the
 // global version, so "a reader always observes the last writer's
 // value" becomes an equality check at each supply and fill. The
-// directory entry is carried in its *encoded* 44-bit form and decoded
-// at every step, so exploration also exercises the Encode/Decode codec
-// across every sharer-bitset shape it can reach.
+// directory entry is carried as the 44-bit directory.Word and read and
+// updated with the same Word operations internal/pe executes, so the
+// checker verifies the engines' directory code; every directory write
+// it explores is also checked against the Entry codec (Encode of the
+// Entry operation on the decoded word), the directory-codec invariant.
 //
 // Messages travel on per-(src,dst) FIFO channels, matching the fabric's
 // ordered virtual lanes: messages between the same pair never reorder,
@@ -85,10 +87,9 @@ type nodeState struct {
 }
 
 // state is one configuration of the micro-system. The directory entry
-// is stored encoded (44 bits) so canonicalization round-trips the
-// codec every step.
+// is its encoded 44-bit word.
 type state struct {
-	dir   uint64
+	dir   directory.Word
 	mem   uint8 // memory's data version
 	cur   uint8 // latest written version (abstract global clock)
 	ops   uint8 // processor operations consumed (bounds the space)
@@ -179,13 +180,12 @@ func (s *state) invalInFlightTo(nodes, n int) bool {
 
 // summary renders the state for counterexample steps.
 func (s *state) summary(nodes int, dcfg directory.Config) string {
-	e := directory.Decode(dcfg, s.dir)
 	var sb strings.Builder
-	switch e.State {
+	switch w := s.dir; w.State() {
 	case directory.Exclusive:
-		fmt.Fprintf(&sb, "dir=E(n%d)", e.Owner)
+		fmt.Fprintf(&sb, "dir=E(n%d)", w.Owner())
 	case directory.Shared, directory.SharedCoarse:
-		fmt.Fprintf(&sb, "dir=%v%v", e.State, e.Sharers.Members(nodes))
+		fmt.Fprintf(&sb, "dir=%v%v", w.State(), w.AppendMembers(dcfg, nil))
 	default:
 		sb.WriteString("dir=uncached")
 	}
@@ -258,7 +258,7 @@ type interp struct {
 	act  int
 	m    *msg
 
-	entry     directory.Entry // directory at rule entry
+	entry     directory.Word // directory at rule entry
 	oldOwner  directory.NodeID
 	requester uint8
 	reqKind   l2.Kind
@@ -269,16 +269,27 @@ type interp struct {
 
 func (in *interp) node() *nodeState { return &in.st.nodes[in.act] }
 
-func (in *interp) setDir(e directory.Entry) error {
-	bits, err := directory.Encode(in.cfg.dcfg, e)
+// decoded is the directory at rule entry as the Entry codec reads it.
+func (in *interp) decoded() directory.Entry {
+	return directory.Decode(in.cfg.dcfg, uint64(in.entry))
+}
+
+// setDir stores the word a directory op computed. want is the same op
+// applied to the decoded Entry (the directory-codec invariant): the word
+// must equal its encoding, which must decode to want's state.
+func (in *interp) setDir(w directory.Word, want directory.Entry) error {
+	cfg := in.cfg.dcfg
+	bits, err := directory.Encode(cfg, want)
 	if err != nil {
-		return &violationErr{InvCodec, fmt.Sprintf("encoding %+v: %v", e, err)}
+		return &violationErr{InvCodec, fmt.Sprintf("encoding %+v: %v", want, err)}
 	}
-	back := directory.Decode(in.cfg.dcfg, bits)
-	if back.State != e.State {
-		return &violationErr{InvCodec, fmt.Sprintf("entry %+v decoded as state %v", e, back.State)}
+	if w != directory.Word(bits) {
+		return &violationErr{InvCodec, fmt.Sprintf("directory word %#x from %#x, Entry codec %#x", uint64(w), uint64(in.entry), bits)}
 	}
-	in.st.dir = bits
+	if back := directory.Decode(cfg, bits); back.State != want.State {
+		return &violationErr{InvCodec, fmt.Sprintf("entry %+v decoded as state %v", want, back.State)}
+	}
+	in.st.dir = w
 	return nil
 }
 
@@ -291,6 +302,7 @@ func (in *interp) send(m msg) {
 // violation's final trace step.
 func (in *interp) run() (delayed bool, err error) {
 	s, nd := in.st, in.node()
+	dcfg, req := in.cfg.dcfg, directory.NodeID(in.requester)
 	for _, op := range in.rule.Do {
 		switch op {
 		case protocol.OpSendReq:
@@ -371,34 +383,35 @@ func (in *interp) run() (delayed bool, err error) {
 			}
 
 		case protocol.OpDirReadGrant:
-			var e directory.Entry
-			if in.entry.State == directory.Uncached && s.nodes[home].line == protocol.LineInvalid {
+			var err error
+			if in.entry.State() == directory.Uncached && s.nodes[home].line == protocol.LineInvalid {
 				// Clean-exclusive optimization: no copy exists anywhere.
-				e = directory.SetExclusive(directory.Entry{}, directory.NodeID(in.requester))
+				err = in.setDir(directory.ExclusiveWord(req), directory.SetExclusive(in.decoded(), req))
 				in.cleanEx = true
 			} else {
-				e = directory.AddSharer(in.cfg.dcfg, in.entry, directory.NodeID(in.requester))
+				err = in.setDir(in.entry.AddSharer(dcfg, req), directory.AddSharer(dcfg, in.decoded(), req))
 			}
-			if err := in.setDir(e); err != nil {
+			if err != nil {
 				return false, err
 			}
 
 		case protocol.OpDirSetExclusiveReq:
-			if err := in.setDir(directory.SetExclusive(directory.Entry{}, directory.NodeID(in.requester))); err != nil {
+			if err := in.setDir(directory.ExclusiveWord(req), directory.SetExclusive(in.decoded(), req)); err != nil {
 				return false, err
 			}
 
 		case protocol.OpDirShareOwnerReq:
-			e := directory.AddSharer(in.cfg.dcfg, directory.Clear(), in.oldOwner)
+			w := directory.UncachedWord.AddSharer(dcfg, in.oldOwner)
+			e := directory.AddSharer(dcfg, directory.Clear(), in.oldOwner)
 			if in.requester != home {
-				e = directory.AddSharer(in.cfg.dcfg, e, directory.NodeID(in.requester))
+				w, e = w.AddSharer(dcfg, req), directory.AddSharer(dcfg, e, req)
 			}
-			if err := in.setDir(e); err != nil {
+			if err := in.setDir(w, e); err != nil {
 				return false, err
 			}
 
 		case protocol.OpDirClear:
-			if err := in.setDir(directory.Clear()); err != nil {
+			if err := in.setDir(directory.UncachedWord, directory.Clear()); err != nil {
 				return false, err
 			}
 
@@ -532,7 +545,7 @@ func (in *interp) fill() error {
 		nd.val = in.data
 	}
 	if in.reqKind == l2.Read {
-		if in.entry.State == directory.Uncached {
+		if in.entry.State() == directory.Uncached {
 			nd.line = protocol.LineExclusive // local clean-exclusive
 		} else {
 			nd.line = protocol.LineShared
@@ -551,17 +564,15 @@ func (in *interp) fill() error {
 // requester, in ascending order (invalidation fan-out order).
 func (in *interp) sharersExceptRequester() []directory.NodeID {
 	var out []directory.NodeID
-	switch in.entry.State {
-	case directory.Uncached:
-	case directory.Exclusive:
-		if in.entry.Owner != directory.NodeID(in.requester) {
-			out = append(out, in.entry.Owner)
+	if in.entry.State() == directory.Exclusive {
+		if in.entry.Owner() != directory.NodeID(in.requester) {
+			out = append(out, in.entry.Owner())
 		}
-	case directory.Shared, directory.SharedCoarse:
-		for _, n := range in.entry.Sharers.Members(in.cfg.Nodes) {
-			if n != directory.NodeID(in.requester) {
-				out = append(out, n)
-			}
+		return out
+	}
+	for _, n := range in.entry.AppendMembers(in.cfg.dcfg, nil) {
+		if n != directory.NodeID(in.requester) {
+			out = append(out, n)
 		}
 	}
 	return out
@@ -574,15 +585,15 @@ func (in *interp) guardHolds() bool {
 	case protocol.GAlways:
 		return true
 	case protocol.GReqIsSharer:
-		return in.entry.Sharers.Has(directory.NodeID(in.requester))
+		return in.entry.Has(in.cfg.dcfg, directory.NodeID(in.requester))
 	case protocol.GReqNotSharer:
-		return !in.entry.Sharers.Has(directory.NodeID(in.requester))
+		return !in.entry.Has(in.cfg.dcfg, directory.NodeID(in.requester))
 	case protocol.GOwnerNotReq:
-		return in.entry.Owner != directory.NodeID(in.requester)
+		return in.entry.Owner() != directory.NodeID(in.requester)
 	case protocol.GSenderIsOwner:
-		return in.entry.State == directory.Exclusive && in.entry.Owner == directory.NodeID(in.m.src)
+		return in.entry.State() == directory.Exclusive && in.entry.Owner() == directory.NodeID(in.m.src)
 	case protocol.GSenderNotOwner:
-		return in.entry.State != directory.Exclusive || in.entry.Owner != directory.NodeID(in.m.src)
+		return in.entry.State() != directory.Exclusive || in.entry.Owner() != directory.NodeID(in.m.src)
 	case protocol.GNoPending:
 		return !nd.hasPend && !nd.wb && nd.tsrf == 0
 	case protocol.GPendingFill:

@@ -197,9 +197,9 @@ func TestDiagnostics(t *testing.T) {
 	}
 }
 
-// The directory codec is exercised on every directory write during
-// exploration: a 4-node run visits entries through Encode/Decode for
-// every sharer-set shape the protocol can produce.
+// Every directory write during exploration runs the engines' Word op
+// and checks it against the Entry codec: a 4-node run covers every
+// sharer-set shape the protocol can produce.
 func TestExplorationRoundTripsCodec(t *testing.T) {
 	res := Check(protocol.Piranha(), Config{Nodes: 4, MaxOps: 3})
 	for _, v := range res.Violations {

@@ -121,6 +121,10 @@ type txn struct {
 	issueRel, homeRel sim.Hold
 	issueAt, homeAt   sim.Time // span starts
 
+	// coarse marks invalidations fanned out from a coarse vector: a
+	// visited chip with no copy counts as an over-invalidation.
+	coarse bool
+
 	ackTime sim.Time // last invalidation ack at req
 	done    sim.Time
 	svc     l2.Svc
@@ -133,8 +137,8 @@ type act struct {
 	msg   protocol.MsgKind
 	from  *node
 	now   sim.Time
-	entry directory.Entry // the home's directory at the firing
-	excl  bool            // a reply's exclusivity grant
+	entry directory.Word // the home's directory at the firing
+	excl  bool           // a reply's exclusivity grant
 
 	charged bool
 	rel     sim.Hold // this firing's handler entry, if it took one
@@ -212,7 +216,7 @@ func (f *Fabric) fire(x *txn, a *act) (delayed bool) {
 	if home == 1 {
 		// Only the home reads the directory: rules elsewhere are keyed
 		// DirAny and never consult it.
-		a.entry = f.dirEntry(x.home, x.line)
+		a.entry = f.dirWord(x.home, x.line)
 	}
 	line := protocol.LineInvalid
 	switch {
@@ -220,8 +224,12 @@ func (f *Fabric) fire(x *txn, a *act) (delayed bool) {
 		line = x.startLine()
 	case piranhaRules.readsLine[home][a.msg]:
 		line = f.lineKind(a.n, x.line)
+		if a.msg == protocol.MsgInval && x.coarse && line == protocol.LineInvalid && a.n.l2 != nil {
+			// Group-granular bookkeeping named a chip with no copy.
+			f.OverInvals++
+		}
 	}
-	k := &piranhaRules.keys[home][a.msg][a.entry.State][line][slot]
+	k := &piranhaRules.keys[home][a.msg][a.entry.State()][line][slot]
 	for _, i := range k.idx[:k.n] {
 		r := &piranhaRules.table.Rules[i]
 		if f.guard(x, a, r.When) {
@@ -238,7 +246,7 @@ func (f *Fabric) hole(x *txn, a *act, line protocol.LineKind) {
 	if a.msg != protocol.MsgNone {
 		line = f.lineKind(a.n, x.line) // the key may not have needed it
 	}
-	dir, req := f.dirEntry(x.home, x.line).State, x.kind
+	dir, req := f.dirWord(x.home, x.line).State(), x.kind
 	if x.evict {
 		req = protocol.ReqAny
 	}
@@ -256,15 +264,15 @@ func (f *Fabric) guard(x *txn, a *act, g protocol.Guard) bool {
 	case protocol.GAlways:
 		return true
 	case protocol.GReqIsSharer:
-		return a.entry.Sharers.Has(x.req.id)
+		return a.entry.Has(f.dcfg, x.req.id)
 	case protocol.GReqNotSharer:
-		return !a.entry.Sharers.Has(x.req.id)
+		return !a.entry.Has(f.dcfg, x.req.id)
 	case protocol.GOwnerNotReq:
-		return a.entry.Owner != x.req.id
+		return a.entry.Owner() != x.req.id
 	case protocol.GSenderIsOwner:
-		return a.entry.State == directory.Exclusive && a.entry.Owner == a.from.id
+		return a.entry.State() == directory.Exclusive && a.entry.Owner() == a.from.id
 	case protocol.GSenderNotOwner:
-		return a.entry.State != directory.Exclusive || a.entry.Owner != a.from.id
+		return a.entry.State() != directory.Exclusive || a.entry.Owner() != a.from.id
 	case protocol.GNoPending:
 		return !(a.n == x.req && (x.pendFill || x.pendWB)) && !f.engineBusy(x, a)
 	case protocol.GPendingFill:
@@ -409,7 +417,7 @@ func (f *Fabric) exec(x *txn, a *act, r *protocol.Rule) (delayed bool) {
 			a.emit(protocol.MsgReply, x.req, t, excl)
 
 		case protocol.OpForwardReq:
-			o := f.nodes[a.entry.Owner]
+			o := f.nodes[a.entry.Owner()]
 			t := a.n.home.send(f.net, a.now, a.n.id, o.id, ShortPacket, prioHigh)
 			f.ThreeHop++
 			a.end = t
@@ -428,7 +436,8 @@ func (f *Fabric) exec(x *txn, a *act, r *protocol.Rule) (delayed bool) {
 			if !a.rel.Held() { // a home-local write engages the home engine
 				a.now, a.rel = f.reserve(a.n.home, a.now)
 			}
-			f.fanOut(x, a.now, sharers, a.entry.State == directory.SharedCoarse)
+			x.coarse = a.entry.State() == directory.SharedCoarse
+			f.fanOut(x, a.now, sharers)
 
 		case protocol.OpInvalHome, protocol.OpDowngradeHome:
 			if h := x.home.l2; h != nil {
@@ -438,27 +447,27 @@ func (f *Fabric) exec(x *txn, a *act, r *protocol.Rule) (delayed bool) {
 			}
 
 		case protocol.OpDirReadGrant:
-			if a.entry.State == directory.Uncached && !a.chipServed {
+			if a.entry.State() == directory.Uncached && !a.chipServed {
 				// Clean-exclusive: no other copy exists.
 				a.cleanEx = true
-				f.setDir(x.home, x.line, directory.SetExclusive(directory.Entry{}, x.req.id))
+				f.setDir(x.home, x.line, directory.ExclusiveWord(x.req.id))
 			} else {
-				f.setDir(x.home, x.line, directory.AddSharer(f.dcfg, a.entry, x.req.id))
+				f.setDir(x.home, x.line, a.entry.AddSharer(f.dcfg, x.req.id))
 			}
 
 		case protocol.OpDirSetExclusiveReq:
-			f.setDir(x.home, x.line, directory.SetExclusive(directory.Entry{}, x.req.id))
+			f.setDir(x.home, x.line, directory.ExclusiveWord(x.req.id))
 
 		case protocol.OpDirShareOwnerReq:
-			e := directory.AddSharer(f.dcfg, directory.Clear(), a.entry.Owner)
+			w := directory.UncachedWord.AddSharer(f.dcfg, a.entry.Owner())
 			if x.req != x.home {
-				e = directory.AddSharer(f.dcfg, e, x.req.id)
+				w = w.AddSharer(f.dcfg, x.req.id)
 			}
-			f.setDir(x.home, x.line, e)
+			f.setDir(x.home, x.line, w)
 			f.DirtyShares++
 
 		case protocol.OpDirClear:
-			f.setDir(x.home, x.line, directory.Clear())
+			f.setDir(x.home, x.line, directory.UncachedWord)
 
 		case protocol.OpFill:
 			// The chip installs the line itself once the transaction

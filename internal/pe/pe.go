@@ -226,8 +226,10 @@ type node struct {
 	// home lines (absent means Uncached) in a dense per-home-node table
 	// keyed by line address — the host-side analogue of Piranha storing
 	// the directory in the home memory's spare ECC bits (§2.5.2): flat
-	// index-addressed words, not pointer-boxed map values.
-	dir *linemap.Map[uint64]
+	// index-addressed words, not pointer-boxed map values. The engines
+	// read and update the words in place; only the fail-stop sweeps
+	// decode them.
+	dir *linemap.Map[directory.Word]
 	// busy holds, per home line, when the home engine last released a
 	// TSRF entry a forward held for it (q-defer waits that out), and
 	// busyMax the latest of those times; shadow, for a node with no L2
@@ -282,6 +284,9 @@ type Fabric struct {
 
 // NewFabric builds an n-node coherence domain over the given network.
 func NewFabric(cfg Config, net Network) *Fabric {
+	if cfg.Nodes > directory.MaxNodes {
+		panic(fmt.Sprintf("pe: %d nodes exceeds the directory's %d", cfg.Nodes, directory.MaxNodes))
+	}
 	f := &Fabric{cfg: cfg, dcfg: directory.Config{Nodes: cfg.Nodes}, net: net,
 		fires: make([]uint64, len(piranhaRules.table.Rules))}
 	// Per-home directory tables start at 1024 slots for small machines
@@ -299,7 +304,7 @@ func NewFabric(cfg Config, net Network) *Fabric {
 			id:     NodeID(i),
 			home:   newEngine(fmt.Sprintf("HE%d", i), cfg.TSRFEntries, cfg.HomeOccupancy),
 			remote: newEngine(fmt.Sprintf("RE%d", i), cfg.TSRFEntries, cfg.RemoteOccupancy),
-			dir:    linemap.New[uint64](dirCap),
+			dir:    linemap.New[directory.Word](dirCap),
 		})
 	}
 	return f
@@ -498,7 +503,7 @@ func (f *Fabric) purgeDead(done sim.Time, h *node, id NodeID, st *FailStopStats)
 		st.OwnerReclaims += d.OwnerReclaims
 		done = h.home.process(done, 0)
 		done += f.cfg.MemLatency
-		f.setDir(h, line, ne)
+		f.setEntry(h, line, ne)
 	}
 	return done
 }
@@ -554,7 +559,7 @@ func (f *Fabric) FailNode(now sim.Time, id NodeID) (sim.Time, FailStopStats) {
 		st.HomesAdopted++
 		done = mn.home.process(done, 0)
 		done += f.cfg.MemLatency
-		f.setDir(mn, line, e)
+		f.setEntry(mn, line, e)
 	}
 	dead.dir.Reset()
 
@@ -589,32 +594,38 @@ func (f *Fabric) Engines(id NodeID) (he, re *Engine) {
 	return f.nodes[id].home, f.nodes[id].remote
 }
 
-// dirEntry decodes a home line's directory entry.
+// dirWord is a home line's directory word (Uncached when absent).
 //
 //piranha:hotpath
-func (f *Fabric) dirEntry(h *node, line cache.LineAddr) directory.Entry {
-	bits, _ := h.dir.Get(line)
-	return directory.Decode(f.dcfg, bits)
+func (f *Fabric) dirWord(h *node, line cache.LineAddr) directory.Word {
+	w, _ := h.dir.Get(line)
+	return w
 }
 
-// setDir encodes and stores a directory entry. A cleared entry frees
-// its table slot (absent means Uncached), so the table tracks only the
-// lines that are actually cached somewhere.
+// setDir stores a directory word. A cleared entry frees its table slot
+// (absent means Uncached), so the table tracks only the lines that are
+// actually cached somewhere.
 //
 //piranha:hotpath
-func (f *Fabric) setDir(h *node, line cache.LineAddr, e directory.Entry) {
-	bits, err := directory.Encode(f.dcfg, e)
-	if err != nil {
-		badDirEntry(err)
-	}
-	if bits == 0 {
+func (f *Fabric) setDir(h *node, line cache.LineAddr, w directory.Word) {
+	if w == directory.UncachedWord {
 		h.dir.Delete(line)
 		return
 	}
-	h.dir.Put(line, bits)
+	h.dir.Put(line, w)
 }
 
-// badDirEntry keeps setDir's panic formatting off the hot path.
-func badDirEntry(err error) {
-	panic("pe: " + err.Error())
+// dirEntry decodes a home line's directory entry for the fail-stop
+// sweeps, which rebuild entries node by node.
+func (f *Fabric) dirEntry(h *node, line cache.LineAddr) directory.Entry {
+	return directory.Decode(f.dcfg, uint64(f.dirWord(h, line)))
+}
+
+// setEntry encodes and stores an entry the fail-stop sweeps rebuilt.
+func (f *Fabric) setEntry(h *node, line cache.LineAddr, e directory.Entry) {
+	w, err := directory.Encode(f.dcfg, e)
+	if err != nil {
+		panic("pe: " + err.Error())
+	}
+	f.setDir(h, line, directory.Word(w))
 }

@@ -217,13 +217,13 @@ func TestCMIBoundsInjectedMessages(t *testing.T) {
 	f := NewFabric(cfg, NewFlatNetwork(25*sim.Nanosecond))
 	h := f.nodes[0]
 	var sharers []NodeID
-	entry := directory.Clear()
+	w := directory.UncachedWord
 	for i := 1; i <= 16; i++ {
 		sharers = append(sharers, NodeID(i))
-		entry = directory.AddSharer(f.dcfg, entry, NodeID(i))
+		w = w.AddSharer(f.dcfg, NodeID(i))
 	}
-	f.setDir(h, 0, entry)
-	ack := f.invalidate(0, h, 19, 0, sharers, entry.State == directory.SharedCoarse)
+	f.setDir(h, 0, w)
+	ack := f.invalidate(0, h, 19, 0, sharers, w.State() == directory.SharedCoarse)
 	if f.InvalMsgs != 4 {
 		t.Fatalf("CMI injected %d messages for 16 sharers, want 4", f.InvalMsgs)
 	}
@@ -253,11 +253,10 @@ func TestCoarseOverInvalCount(t *testing.T) {
 		t.Fatalf("directory %v after %d sharers, want SharedCoarse", e.State, len(readers))
 	}
 	chips[1].l2.Access(10*sim.Microsecond, chips[1].d[0], l2.ReadEx, a)
-	if f.OverInvals == 0 {
-		t.Fatal("coarse invalidation visited no non-holders; over-invalidations not counted")
-	}
-	if f.OverInvals >= f.InvalsSent {
-		t.Fatalf("OverInvals %d >= InvalsSent %d: true sharers misclassified", f.OverInvals, f.InvalsSent)
+	// Six groups of two: each reader's odd sibling is visited without a
+	// copy.
+	if f.OverInvals != 6 || f.InvalsSent != 12 {
+		t.Fatalf("OverInvals %d of InvalsSent %d, want 6 of 12", f.OverInvals, f.InvalsSent)
 	}
 }
 
@@ -392,19 +391,17 @@ func TestCrossChipInvariantStress(t *testing.T) {
 	// must not be valid anywhere else.
 	for _, c := range chips {
 		for cpu := 0; cpu < 4; cpu++ {
-			for _, ln := range c.d[cpu].Contents() {
-				if ln.State != cache.Modified && ln.State != cache.Exclusive {
-					continue
+			c.d[cpu].Range(func(ln cache.Line) bool {
+				if !ln.State.CanWrite() {
+					return true
 				}
 				for _, o := range chips {
-					if o == c {
-						continue
-					}
-					if o.l2.HasLine(ln.Tag) {
+					if o != c && o.l2.HasLine(ln.Tag) {
 						t.Fatalf("line %#x exclusive on one chip, cached on another", ln.Tag)
 					}
 				}
-			}
+				return true
+			})
 		}
 	}
 	// Every owner the directories name still holds its line: a chip
@@ -454,7 +451,7 @@ func TestReachingAHolePanics(t *testing.T) {
 	// the table declares that combination unreachable.
 	f := NewFabric(DefaultConfig(2), NewFlatNetwork(25*sim.Nanosecond))
 	line := lineHomedAt(f, 0).Line()
-	f.setDir(f.nodes[0], line, directory.SetExclusive(directory.Entry{}, 1))
+	f.setDir(f.nodes[0], line, directory.ExclusiveWord(1))
 	defer func() {
 		msg, _ := recover().(string)
 		if !strings.Contains(msg, "owner is the requester") {
@@ -483,4 +480,16 @@ func TestDirectoryDispatchAllocsNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("50 x %d dispatches allocate %.0f objects", len(lines), allocs)
 	}
+}
+
+// The directory's 10-bit pointers name at most 1024 nodes; a larger
+// fabric is refused when built rather than at its first directory write.
+func TestNewFabricRefusesMoreThanMaxNodes(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "1025 nodes exceeds the directory's 1024") {
+			t.Fatalf("recovered %q, want the node-count panic", msg)
+		}
+	}()
+	NewFabric(DefaultConfig(directory.MaxNodes+1), NewFlatNetwork(25*sim.Nanosecond))
 }

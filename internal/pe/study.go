@@ -15,15 +15,15 @@ import (
 // cruise-missile-invalidate comparison.
 func (f *Fabric) InvalidateStudy(k int) (uint64, sim.Time) {
 	h := f.nodes[0]
-	entry := directory.Clear()
+	w := directory.UncachedWord
 	var sharers []NodeID
 	for i := 1; i <= k && i < f.cfg.Nodes-1; i++ {
 		n := NodeID(i)
 		sharers = append(sharers, n)
-		entry = directory.AddSharer(f.dcfg, entry, n)
+		w = w.AddSharer(f.dcfg, n)
 	}
-	f.setDir(h, 0x40, entry)
-	ack := f.invalidate(0, h, NodeID(f.cfg.Nodes-1), 0x40, sharers, entry.State == directory.SharedCoarse)
+	f.setDir(h, 0x40, w)
+	ack := f.invalidate(0, h, NodeID(f.cfg.Nodes-1), 0x40, sharers, w.State() == directory.SharedCoarse)
 	return f.InvalMsgs, ack
 }
 
@@ -37,14 +37,14 @@ func (f *Fabric) SeedDirectory(count int) []cache.LineAddr {
 	for i := range lines {
 		line := cache.LineAddr(i)
 		lines[i] = line
-		f.setDir(h, line, directory.AddSharer(f.dcfg, directory.Clear(), 1))
+		f.setDir(h, line, directory.UncachedWord.AddSharer(f.dcfg, 1))
 	}
 	return lines
 }
 
 // DirectoryDispatch performs, for each line, the directory half of a
-// home-engine dispatch: decode the stored entry, fold in a sharer, and
-// encode it back. Against a table warmed by SeedDirectory every store
+// home-engine dispatch: read the stored word, fold in a sharer, and
+// store it back. Against a table warmed by SeedDirectory every store
 // is an overwrite, so the loop is the steady-state directory path —
 // TestDirectoryDispatchAllocsNothing asserts it allocates nothing.
 // Returns the number of entries touched so the work cannot be optimized
@@ -53,9 +53,7 @@ func (f *Fabric) DirectoryDispatch(lines []cache.LineAddr) int {
 	h := f.nodes[0]
 	touched := 0
 	for _, line := range lines {
-		e := f.dirEntry(h, line)
-		e = directory.AddSharer(f.dcfg, e, 1)
-		f.setDir(h, line, e)
+		f.setDir(h, line, f.dirWord(h, line).AddSharer(f.dcfg, 1))
 		touched++
 	}
 	return touched

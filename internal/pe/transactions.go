@@ -30,7 +30,7 @@ func (p *NodeProto) HomeIsLocal(line cache.LineAddr) bool {
 // LocalDirState implements l2.Remote: the partial interpretation of the
 // 44-bit entry the L2 controller performs itself.
 func (p *NodeProto) LocalDirState(line cache.LineAddr) l2.RemoteState {
-	return remoteStates[p.f.dirEntry(p.f.nodes[p.id], line).State]
+	return remoteStates[p.f.dirWord(p.f.nodes[p.id], line).State()]
 }
 
 // remoteStates maps a directory state to the L2's partial view of it.
@@ -88,10 +88,11 @@ const (
 // precise vectors, but a coarse vector's re-encoded group bits can still
 // cover the dead node, and no message may ever target a dead chip.
 // The returned slice is the fabric's reused scratch (valid until the
-// next call) and the enumeration word-walks the sharer bitset, so the
-// cost is O(sharers), not O(nodes) plus an allocation per invalidation.
-func (f *Fabric) sharersExcept(e directory.Entry, skip NodeID) []NodeID {
-	out := e.Sharers.AppendMembers(f.sharerScratch[:0], f.cfg.Nodes)
+// next call) and the enumeration reads the directory word's pointers or
+// set group bits, so the cost is O(sharers), not O(nodes) plus an
+// allocation per invalidation.
+func (f *Fabric) sharersExcept(w directory.Word, skip NodeID) []NodeID {
+	out := w.AppendMembers(f.dcfg, f.sharerScratch[:0])
 	kept := out[:0]
 	for _, n := range out {
 		if n != skip && !(f.anyDead && f.nodes[n].dead) {
@@ -105,8 +106,8 @@ func (f *Fabric) sharersExcept(e directory.Entry, skip NodeID) []NodeID {
 // invalidate invalidates sharers of a line homed at h for requester req
 // and returns when the last acknowledgment reaches req (or now).
 func (f *Fabric) invalidate(now sim.Time, h *node, req NodeID, line cache.LineAddr, sharers []NodeID, coarse bool) sim.Time {
-	x := txn{line: line, home: h, req: f.nodes[req], ackTime: now}
-	f.fanOut(&x, now, sharers, coarse)
+	x := txn{line: line, home: h, req: f.nodes[req], coarse: coarse, ackTime: now}
+	f.fanOut(&x, now, sharers)
 	return x.ackTime
 }
 
@@ -116,10 +117,10 @@ func (f *Fabric) invalidate(now sim.Time, h *node, req NodeID, line cache.LineAd
 // injected; each visits its subset of nodes serially and the last node
 // of each route acknowledges. Without CMI the home injects one message
 // per sharer (serialized at the home engine) and every sharer
-// acknowledges. coarse marks a coarse-vector entry: a visited chip with
-// no copy then counts as an over-invalidation (group-granular
-// bookkeeping named it a sharer when it never was one).
-func (f *Fabric) fanOut(x *txn, now sim.Time, sharers []NodeID, coarse bool) {
+// acknowledges. When x.coarse marks a coarse-vector entry, the
+// invalidation's own firing counts each visited chip that held no copy
+// as an over-invalidation.
+func (f *Fabric) fanOut(x *txn, now sim.Time, sharers []NodeID) {
 	if len(sharers) == 0 {
 		return
 	}
@@ -127,11 +128,7 @@ func (f *Fabric) fanOut(x *txn, now sim.Time, sharers []NodeID, coarse bool) {
 	h, req := x.home, x.req
 
 	visit := func(t sim.Time, n NodeID) sim.Time {
-		tgt := f.nodes[n]
-		if coarse && tgt.l2 != nil && !tgt.l2.HasLine(x.line) {
-			f.OverInvals++
-		}
-		return f.receive(x, protocol.MsgInval, tgt, h, t, false)
+		return f.receive(x, protocol.MsgInval, f.nodes[n], h, t, false)
 	}
 	ack := func(t sim.Time, from NodeID) {
 		t = f.net.Send(t, from, req.id, ShortPacket, prioHigh)

@@ -93,7 +93,7 @@ func TestZeroInputEdges(t *testing.T) {
 		}},
 		{"series fracs all zero", func(t *testing.T) {
 			s := NewSeries(100)
-			s.AddBusy(0, 0)  // records nothing
+			s.AddBusy(0, 0) // records nothing
 			s.AddAccess(50, false)
 			for i, f := range s.BusyFracs() {
 				if f != 0 {

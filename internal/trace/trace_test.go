@@ -147,17 +147,21 @@ func TestWriteChromeDeterministic(t *testing.T) {
 // TestSpanNoAlloc locks in the zero-allocation recording guarantee for
 // both disabled and enabled tracers.
 func TestSpanNoAlloc(t *testing.T) {
-	var nilTr *Tracer
-	if n := testing.AllocsPerRun(100, func() {
-		nilTr.Span(CPU, KStall, 0, 0, 0, 0, 10, 0)
-	}); n != 0 {
-		t.Fatalf("nil tracer Span allocates %v/op", n)
+	// Each count is one run of 1000 calls: AllocsPerRun's integer
+	// average would round away an allocation made on only some calls.
+	spans := func(tr *Tracer) float64 {
+		return testing.AllocsPerRun(1, func() {
+			for i := 0; i < 1000; i++ {
+				tr.Span(CPU, KStall, 0, 0, 0, 0, 10, 0)
+			}
+		})
+	}
+	if n := spans(nil); n != 0 {
+		t.Fatalf("1000 nil-tracer Spans allocate %.0f objects", n)
 	}
 	tr := New(64)
 	tr.Span(CPU, KStall, 0, 0, 0, 0, 10, 0) // create the counter once
-	if n := testing.AllocsPerRun(100, func() {
-		tr.Span(CPU, KStall, 0, 0, 0, 0, 10, 0)
-	}); n != 0 {
-		t.Fatalf("enabled tracer Span allocates %v/op", n)
+	if n := spans(tr); n != 0 {
+		t.Fatalf("1000 enabled-tracer Spans allocate %.0f objects", n)
 	}
 }
